@@ -20,8 +20,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke of the partition bijection, the swizzle bijectivity,
-# the sharded-engine quantum equivalence, the event-queue pop order and
-# the disk-cache entry codec; CI runs these bounded, `make fuzz
+# the sharded-engine quantum equivalence, the event-queue pop order,
+# the disk-cache entry codec and the coalescer against its
+# sort-and-compact reference; CI runs these bounded, `make fuzz
 # FUZZTIME=10m` digs deeper locally. (go test accepts one -fuzz pattern
 # per run, so each target is its own invocation.)
 FUZZTIME ?= 30s
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/rescache
 	$(GO) test -run='^$$' -fuzz=FuzzDieBlockBijective -fuzztime=$(FUZZTIME) ./internal/swizzle
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
+	$(GO) test -run='^$$' -fuzz=FuzzAppendTransactions -fuzztime=$(FUZZTIME) ./internal/kernel
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

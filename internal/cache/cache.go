@@ -5,9 +5,17 @@
 // write-allocate, 32B lines). It includes MSHR modelling so that
 // requests merging onto an in-flight line are reported as "hit reserved",
 // the state the paper observes for first-turnaround CTAs in Figure 2.
+//
+// The MSHR table is unbounded: every in-flight line gets an entry. Each
+// entry carries the cycle its fill lands (SetFillTime), so ReadAt and
+// WriteAt install a landed line themselves; the caller keeps no fill
+// table of its own.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Result classifies one cache access.
 type Result uint8
@@ -60,7 +68,6 @@ type Config struct {
 	Assoc   int // ways per set
 	Sectors int // 1 = unified; 2 = Maxwell/Pascal sectored L1/Tex
 	Policy  WritePolicy
-	MSHRs   int // max distinct in-flight lines; 0 = unlimited
 }
 
 // Stats accumulates counters compatible with the profiler metrics the
@@ -142,13 +149,23 @@ type sector struct {
 	sets []set
 }
 
+// mshr is one in-flight line: the requesters merged on it and the cycle
+// its fill lands (math.MaxInt64 until SetFillTime names it).
+type mshr struct {
+	waiters int
+	ready   int64
+}
+
 // Cache is a set-associative, LRU cache with optional sectoring and
 // MSHR-based miss merging. It is a timing/occupancy model: no data is
-// stored, only tags.
+// stored, only tags. Under WriteEvict a line is never both resident and
+// in flight: only a fill installs a line, and the fill retires its MSHR
+// entry. That is why ReadAt can serve a resident line without looking
+// in the MSHR table.
 type Cache struct {
 	cfg     Config
 	sectors []sector
-	pending map[uint64]int // line base -> requester count (MSHR)
+	pending map[uint64]mshr // pendKey -> in-flight line (MSHR)
 	clock   uint64
 	stats   Stats
 }
@@ -168,7 +185,7 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: size %d too small for line %d assoc %d sectors %d",
 			cfg.Size, cfg.Line, cfg.Assoc, cfg.Sectors))
 	}
-	c := &Cache{cfg: cfg, pending: make(map[uint64]int)}
+	c := &Cache{cfg: cfg, pending: make(map[uint64]mshr)}
 	c.sectors = make([]sector, cfg.Sectors)
 	for i := range c.sectors {
 		c.sectors[i].sets = make([]set, nsets)
@@ -202,6 +219,13 @@ func (c *Cache) locate(addr uint64, sectorID int) (*set, uint64) {
 	return &sec.sets[base%uint64(len(sec.sets))], base
 }
 
+// pendKey names a line in the MSHR table; tag is addr / Line, as
+// locate returns it. The sector bits disambiguate identical lines
+// across sectors.
+func pendKey(tag uint64, sectorID int) uint64 {
+	return tag<<2 | uint64(sectorID&3)
+}
+
 func (s *set) find(tag uint64) *line {
 	for i := range s.ways {
 		if s.ways[i].valid && s.ways[i].tag == tag {
@@ -229,30 +253,80 @@ func (s *set) victim() *line {
 // sector. On Miss the caller must eventually call Fill for the same
 // address and sector. HitReserved means an earlier miss on the line is
 // still in flight; the caller should wait on that fill instead of
-// issuing a new one.
+// issuing a new one. Read is ReadAt at a time no fill has landed by.
 func (c *Cache) Read(addr uint64, sectorID int) Result {
+	res, _ := c.ReadAt(addr, sectorID, math.MinInt64)
+	return res
+}
+
+// ReadAt is Read at cycle now for a caller that names fill times with
+// SetFillTime instead of calling Fill. An in-flight line whose fill has
+// landed by now is installed first, exactly as Fill would, so the
+// access hits it. HitReserved also returns the cycle the pending fill
+// lands. On Miss the caller fetches the line and then calls
+// SetFillTime once with the cycle it arrives.
+func (c *Cache) ReadAt(addr uint64, sectorID int, now int64) (Result, int64) {
+	st, tag := c.locate(addr, sectorID)
+	ln := st.find(tag)
+	if ln == nil {
+		key := pendKey(tag, sectorID)
+		e, ok := c.pending[key]
+		switch {
+		case !ok:
+			c.clock++
+			c.stats.Reads++
+			c.stats.ReadMisses++
+			c.pending[key] = mshr{waiters: 1, ready: math.MaxInt64}
+			return Miss, 0
+		case e.ready > now:
+			c.clock++
+			c.stats.Reads++
+			c.stats.ReadReserved++
+			e.waiters++
+			c.pending[key] = e
+			return HitReserved, e.ready
+		}
+		delete(c.pending, key)
+		ln = c.fill(st, tag)
+	}
+	c.readHit(ln)
+	return Hit, 0
+}
+
+func (c *Cache) readHit(ln *line) {
 	c.clock++
 	c.stats.Reads++
+	c.stats.ReadHits++
+	ln.lru = c.clock
+}
+
+// SetFillTime records the cycle the in-flight fetch of addr's line
+// lands. ReadAt and WriteAt install the line on their first access at
+// or after that cycle. It is a no-op for a line not in flight.
+func (c *Cache) SetFillTime(addr uint64, sectorID int, at int64) {
+	key := pendKey(addr/uint64(c.cfg.Line), sectorID)
+	if e, ok := c.pending[key]; ok {
+		e.ready = at
+		c.pending[key] = e
+	}
+}
+
+// ReadFill is Read followed, on Miss, by Fill: a read-allocate whose
+// fill completes within the call, as the L2 models it. It never leaves
+// an MSHR entry behind.
+func (c *Cache) ReadFill(addr uint64, sectorID int) Result {
 	st, tag := c.locate(addr, sectorID)
 	if ln := st.find(tag); ln != nil {
-		ln.lru = c.clock
-		c.stats.ReadHits++
+		c.readHit(ln)
 		return Hit
 	}
-	lb := c.LineBase(addr)
-	if _, ok := c.pending[pendKey(lb, sectorID)]; ok {
-		c.pending[pendKey(lb, sectorID)]++
-		c.stats.ReadReserved++
-		return HitReserved
+	if _, ok := c.pending[pendKey(tag, sectorID)]; ok {
+		return c.Read(addr, sectorID) // merges as HitReserved
 	}
-	if c.cfg.MSHRs > 0 && len(c.pending) >= c.cfg.MSHRs {
-		// MSHR full: the request still misses and stalls; model it as a
-		// plain miss (the engine charges the full latency anyway).
-		c.stats.ReadMisses++
-		return Miss
-	}
-	c.pending[pendKey(lb, sectorID)] = 1
+	c.clock++
+	c.stats.Reads++
 	c.stats.ReadMisses++
+	c.fill(st, tag)
 	return Miss
 }
 
@@ -267,10 +341,23 @@ func (c *Cache) BypassRead() Result {
 // WriteEvict always forwards; WriteBackAllocate forwards only on miss
 // (the allocation fill).
 func (c *Cache) Write(addr uint64, sectorID int) Result {
-	c.clock++
-	c.stats.Writes++
+	return c.WriteAt(addr, sectorID, math.MinInt64)
+}
+
+// WriteAt is Write at cycle now: like ReadAt, it first installs the
+// line if its pending fill has landed by now, so the store sees it.
+func (c *Cache) WriteAt(addr uint64, sectorID int, now int64) Result {
 	st, tag := c.locate(addr, sectorID)
 	ln := st.find(tag)
+	if ln == nil {
+		key := pendKey(tag, sectorID)
+		if e, ok := c.pending[key]; ok && e.ready <= now {
+			delete(c.pending, key)
+			ln = c.fill(st, tag)
+		}
+	}
+	c.clock++
+	c.stats.Writes++
 	switch c.cfg.Policy {
 	case WriteEvict:
 		if ln != nil {
@@ -302,24 +389,28 @@ func (c *Cache) Write(addr uint64, sectorID int) Result {
 // releases any requesters merged on the MSHR entry. It returns how many
 // requesters (including the original) were waiting.
 func (c *Cache) Fill(addr uint64, sectorID int) int {
+	st, tag := c.locate(addr, sectorID)
+	key := pendKey(tag, sectorID)
+	waiters := c.pending[key].waiters
+	delete(c.pending, key)
 	c.clock++
 	c.stats.Fills++
-	lb := c.LineBase(addr)
-	waiters := c.pending[pendKey(lb, sectorID)]
-	delete(c.pending, pendKey(lb, sectorID))
-	st, tag := c.locate(addr, sectorID)
 	if st.find(tag) == nil {
 		c.insert(st, tag, false)
 	}
-	if waiters == 0 {
-		waiters = 1
-	}
-	return waiters
+	return max(waiters, 1)
+}
+
+// fill installs a fetched line that is not resident and returns it.
+func (c *Cache) fill(st *set, tag uint64) *line {
+	c.clock++
+	c.stats.Fills++
+	return c.insert(st, tag, false)
 }
 
 // Pending reports whether a fetch for addr's line is in flight.
 func (c *Cache) Pending(addr uint64, sectorID int) bool {
-	_, ok := c.pending[pendKey(c.LineBase(addr), sectorID)]
+	_, ok := c.pending[pendKey(addr/uint64(c.cfg.Line), sectorID)]
 	return ok
 }
 
@@ -350,7 +441,7 @@ func (c *Cache) Flush() uint64 {
 	return wb
 }
 
-func (c *Cache) insert(st *set, tag uint64, dirty bool) {
+func (c *Cache) insert(st *set, tag uint64, dirty bool) *line {
 	v := st.victim()
 	if v.valid {
 		c.stats.Evictions++
@@ -359,9 +450,5 @@ func (c *Cache) insert(st *set, tag uint64, dirty bool) {
 		}
 	}
 	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
-}
-
-// pendKey disambiguates identical line addresses across sectors.
-func pendKey(lineBase uint64, sectorID int) uint64 {
-	return lineBase<<2 | uint64(sectorID&3)
+	return v
 }

@@ -154,20 +154,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestMSHRLimit(t *testing.T) {
-	c := New(Config{Size: 1024, Line: 128, Assoc: 2, Policy: WriteEvict, MSHRs: 2})
-	c.Read(0x000, 0)
-	c.Read(0x080, 0)
-	// Third distinct line with full MSHRs: still a miss, but no new
-	// pending entry.
-	if r := c.Read(0x200, 0); r != Miss {
-		t.Fatalf("mshr-full read = %v", r)
-	}
-	if c.Pending(0x200, 0) {
-		t.Error("MSHR-full miss must not register a new pending line")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	c := smallL1()
 	c.Read(0x100, 0)

@@ -29,19 +29,19 @@ var allocBudgets = []struct {
 	profiled bool
 	budget   float64
 }{
-	{"MM", 0, 1, false, 13400},
-	{"MM", 0, 1, true, 13450},
-	{"MM", 0, 4, false, 18050},
-	{"MM", 0, 4, true, 18250},
-	{"SGM", 0, 1, false, 7700},
-	{"SGM", 0, 1, true, 7750},
-	{"SGM", 0, 4, false, 10450},
-	{"SGM", 0, 4, true, 10600},
+	{"MM", 0, 1, false, 12650},
+	{"MM", 0, 1, true, 12700},
+	{"MM", 0, 4, false, 17300},
+	{"MM", 0, 4, true, 17450},
+	{"SGM", 0, 1, false, 7450},
+	{"SGM", 0, 1, true, 7500},
+	{"SGM", 0, 4, false, 10200},
+	{"SGM", 0, 4, true, 10300},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{"MM", 2, 1, false, 13100},
-	{"MM", 2, 4, false, 17450},
+	{"MM", 2, 1, false, 12450},
+	{"MM", 2, 4, false, 16800},
 }
 
 func TestAllocationBudgets(t *testing.T) {

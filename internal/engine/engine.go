@@ -180,11 +180,10 @@ type ctaState struct {
 // smState is one streaming multiprocessor.
 type smState struct {
 	id        int
-	l1        *cache.Cache
+	l1        *cache.Cache // owns the SM's in-flight fills (MSHR table)
 	issueFree int64
-	slots     []*ctaState      // fixed-capacity CTA slots; nil = free
-	pendFills map[uint64]int64 // L1 line+sector key -> fill completion
-	resident  int              // resident warps (occupancy tracking)
+	slots     []*ctaState // fixed-capacity CTA slots; nil = free
+	resident  int         // resident warps (occupancy tracking)
 }
 
 // lane is one execution context of the cycle loop: a subset of the SMs,
@@ -350,8 +349,7 @@ func RunContext(ctx context.Context, cfg Config, k kernel.Kernel) (*Result, erro
 				Sectors: sectors,
 				Policy:  cache.WriteEvict,
 			}),
-			slots:     make([]*ctaState, occ.CTAsPerSM),
-			pendFills: make(map[uint64]int64),
+			slots: make([]*ctaState, occ.CTAsPerSM),
 		}
 	}
 	shards := cfg.Shards

@@ -56,7 +56,7 @@ func (l *lane) step(w *warpState) {
 		l.finishWarp(w)
 		return
 	}
-	op := w.ops[w.pc]
+	op := &w.ops[w.pc]
 
 	// Barriers, stores and atomics consume loaded values: drain the
 	// load window first.
@@ -101,7 +101,7 @@ func (l *lane) step(w *warpState) {
 		}
 
 	case kernel.OpMem:
-		done := l.memAccess(sm, cta, op.Mem, issue)
+		done := l.memAccess(sm, cta, &op.Mem, issue)
 		if s.prof != nil {
 			class := prof.MemLoad
 			switch {
@@ -147,7 +147,7 @@ func (l *lane) step(w *warpState) {
 }
 
 // drains reports whether an op consumes in-flight load results.
-func drains(op kernel.Op) bool {
+func drains(op *kernel.Op) bool {
 	switch op.Kind {
 	case kernel.OpBarrier, kernel.OpAtomic:
 		return true
@@ -178,10 +178,6 @@ func (l *lane) finishWarp(w *warpState) {
 	}
 }
 
-func lineKey(lineBase uint64, sector int) uint64 {
-	return lineBase<<1 | uint64(sector&1)
-}
-
 // emitL1 records one L1-line access outcome.
 func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
 	l.emit(prof.Event{
@@ -192,26 +188,22 @@ func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result,
 }
 
 // memAccess routes one warp memory op through the hierarchy and returns
-// the absolute completion time. The per-SM L1 and fill table are lane-
-// private; any excursion into the shared memory system first takes the
-// global token so L2/DRAM state advances in serial event order.
-func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64) int64 {
+// the absolute completion time. The per-SM L1, with its MSHR table of
+// in-flight fills, is lane-private; any excursion into the shared memory
+// system first takes the global token so L2/DRAM state advances in
+// serial event order.
+func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64) int64 {
 	s := l.s
 	ar := s.ar
 	if m.Write {
 		// Write-evict: invalidate any cached copy per L1 line, then
-		// forward the coalesced 32B segments to L2. Completed-but-
-		// unapplied fills must land first so the invalidation sees them.
+		// forward the coalesced 32B segments to L2. WriteAt lands a
+		// completed fill first so the invalidation sees it.
 		if s.cfg.L1Enabled && !m.Bypass {
 			sector := s.sectorFor(cta)
 			l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
 			for _, a := range l.txBuf {
-				key := lineKey(a/uint64(ar.L1Line), sector)
-				if fd, ok := sm.pendFills[key]; ok && fd <= issue {
-					sm.l1.Fill(a, sector)
-					delete(sm.pendFills, key)
-				}
-				res := sm.l1.Write(a, sector)
+				res := sm.l1.WriteAt(a, sector, issue)
 				if s.prof != nil {
 					l.emitL1(sm, cta, a, res, issue, true)
 				}
@@ -252,13 +244,8 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 	done := issue
 	l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
 	for _, a := range l.txBuf {
-		key := lineKey(a/uint64(ar.L1Line), sector)
-		if fd, ok := sm.pendFills[key]; ok && fd <= issue {
-			sm.l1.Fill(a, sector)
-			delete(sm.pendFills, key)
-		}
 		var t int64
-		res := sm.l1.Read(a, sector)
+		res, ready := sm.l1.ReadAt(a, sector, issue)
 		if s.prof != nil {
 			l.emitL1(sm, cta, a, res, issue, false)
 		}
@@ -268,7 +255,7 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 		case cache.HitReserved:
 			// Hit-reserved: the data is on the fly; the warp waits for
 			// the outstanding fill (Section 3.1-(1)).
-			t = sm.pendFills[key]
+			t = ready
 			if lo := issue + int64(ar.L1Latency); lo > t {
 				t = lo
 			}
@@ -281,9 +268,8 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 				nbytes = 2 * ar.L2Line
 			}
 			l.global()
-			fd := s.memsys.Read(issue, sm.id, base, nbytes)
-			sm.pendFills[key] = fd
-			t = fd
+			t = s.memsys.Read(issue, sm.id, base, nbytes)
+			sm.l1.SetFillTime(a, sector, t)
 		}
 		if t > done {
 			done = t

@@ -14,6 +14,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ctacluster/internal/arch"
@@ -177,27 +178,29 @@ func (m MemOp) Transactions(segBytes int) []uint64 {
 // scratch buffer per lane (the engine does) coalesces with zero
 // steady-state allocations. The output bytes are identical to
 // Transactions — the simulator's determinism contract rides on that.
-func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
+//
+// A regular access (Addrs == nil) whose lane addresses cannot wrap is
+// coalesced without sorting: its lane addresses are monotone in the
+// lane index, so the segments come out in order (DESIGN.md §11).
+// Gathers and wrapping accesses take the sort-and-compact path.
+func (m *MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
 	if segBytes <= 0 {
 		panic("kernel: non-positive segment size")
 	}
-	size := m.Size
-	if size <= 0 {
-		size = 4
+	size := uint64(4)
+	if m.Size > 0 {
+		size = uint64(m.Size)
 	}
 	seg := uint64(segBytes)
-	start := len(dst)
-	appendSegs := func(a uint64) []uint64 {
-		first := a / seg
-		last := (a + uint64(size) - 1) / seg
-		for s := first; s <= last; s++ {
-			dst = append(dst, s*seg)
+	if m.Addrs == nil {
+		if out, ok := m.appendRegular(dst, seg, size); ok {
+			return out
 		}
-		return dst
 	}
+	start := len(dst)
 	if m.Addrs != nil {
 		for _, a := range m.Addrs {
-			dst = appendSegs(a)
+			dst = appendSegs(dst, a, seg, size)
 		}
 	} else {
 		lanes := m.Lanes
@@ -205,12 +208,10 @@ func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
 			lanes = 1
 		}
 		for i := 0; i < lanes; i++ {
-			dst = appendSegs(m.Base + uint64(int64(i)*m.Stride))
+			dst = appendSegs(dst, m.Base+uint64(int64(i)*m.Stride), seg, size)
 		}
 	}
-	// Sort and compact in place. The candidate set is tiny (<= 32 lanes,
-	// a few segments each) and often already sorted, which pdqsort's
-	// ascending-run detection makes near-free.
+	// Sort and compact in place.
 	sub := dst[start:]
 	slices.Sort(sub)
 	j := 0
@@ -221,6 +222,58 @@ func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
 		}
 	}
 	return dst[:start+j]
+}
+
+// appendSegs appends the bases of the segments covering [a, a+size).
+// An access whose last byte wraps past 2^64 covers no segment.
+func appendSegs(dst []uint64, a, seg, size uint64) []uint64 {
+	last := (a + size - 1) / seg
+	for s := a / seg; s <= last; s++ {
+		dst = append(dst, s*seg)
+	}
+	return dst
+}
+
+// appendRegular is the sort-free coalescer for a regular access. It
+// reports false, appending nothing, when some lane's address or last
+// byte would wrap past 2^64; the caller then sorts.
+func (m *MemOp) appendRegular(dst []uint64, seg, size uint64) ([]uint64, bool) {
+	lanes := uint64(1)
+	if m.Lanes > 1 {
+		lanes = uint64(m.Lanes)
+	}
+	// d is the distance between adjacent lanes; lo and hi the lowest
+	// and highest lane address.
+	d := uint64(m.Stride)
+	if m.Stride < 0 {
+		d = -d
+	}
+	over, span := bits.Mul64(lanes-1, d)
+	if over != 0 {
+		return dst, false
+	}
+	lo, hi := m.Base, m.Base+span
+	if m.Stride < 0 {
+		if span > m.Base {
+			return dst, false
+		}
+		lo, hi = m.Base-span, m.Base
+	}
+	if hi < lo || hi+size-1 < hi {
+		return dst, false
+	}
+	if d < size || d-size < seg {
+		// No gap between adjacent lanes can skip a whole segment, so
+		// the union is every segment from lo's to the last byte's.
+		return appendSegs(dst, lo, seg, hi-lo+size), true
+	}
+	// Adjacent lanes are at least a segment apart: each lane's first
+	// segment lies past the previous lane's last, so walking the lanes
+	// in address order emits them sorted and distinct.
+	for a, i := lo, uint64(0); i < lanes; a, i = a+d, i+1 {
+		dst = appendSegs(dst, a, seg, size)
+	}
+	return dst, true
 }
 
 // Launch carries the runtime context a CTA observes when it is placed on

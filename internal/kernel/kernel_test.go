@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,25 +157,29 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 	}
 }
 
-// TestAppendTransactionsEquivalence pins the hot-path variant to the
-// allocating one: for random regular and irregular accesses, appending
-// into a dirty scratch buffer must leave the prefix untouched and
-// produce exactly the bytes Transactions returns. The engine's
-// determinism contract rides on this equivalence — every coalescing
-// site now goes through AppendTransactions with a reused buffer.
+// TestAppendTransactionsEquivalence pins the coalescer to the
+// sort-and-compact reference (refTransactions): for random regular and
+// irregular accesses, appending into a dirty scratch buffer must leave
+// the prefix untouched and produce exactly the reference's bytes. The
+// engine's determinism contract rides on this equivalence. Bases near
+// 2^64 and strides up to the full int64 range reach the wrapping
+// fallback as well as both sort-free paths.
 func TestAppendTransactionsEquivalence(t *testing.T) {
-	f := func(base uint64, stride int16, lanes uint8, size uint8, seg uint8, irregular bool) bool {
+	f := func(base uint64, stride int64, lanes uint8, size uint8, seg uint8, shape uint8, irregular bool) bool {
 		segBytes := 32 << (seg % 3) // 32, 64, 128
 		m := MemOp{
-			Base:   base % (1 << 40),
-			Stride: int64(stride),
+			Base:   base,
+			Stride: stride >> (shape % 64), // small and huge strides alike
 			Lanes:  int(lanes%32) + 1,
 			Size:   int(size%16) + 1,
+		}
+		if shape&64 != 0 {
+			m.Base = ^uint64(0) - base%4096 // within a page of 2^64
 		}
 		if irregular {
 			m.Addrs = m.LaneAddrs() // explicit per-lane path, same addresses
 		}
-		want := m.Transactions(segBytes)
+		want := refTransactions(m, segBytes)
 		prefix := []uint64{0xdead, 0xbeef, 0xcafe}
 		dst := append(append([]uint64(nil), prefix...), 7, 7, 7)[:len(prefix)]
 		got := m.AppendTransactions(dst, segBytes)
@@ -191,13 +196,9 @@ func TestAppendTransactionsEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		// And the nil-dst path is Transactions itself.
-		if again := m.AppendTransactions(nil, segBytes); len(again) != len(want) {
-			return false
-		}
-		return true
+		return slices.Equal(m.Transactions(segBytes), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

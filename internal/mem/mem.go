@@ -348,10 +348,9 @@ func (s *System) Read(now int64, smID int, base uint64, nbytes int) int64 {
 		svc, c := s.route(now, smID, addr)
 		var t int64
 		hit, remote := true, false
-		if res := c.Read(addr, 0); res == cache.Miss {
+		if res := c.ReadFill(addr, 0); res == cache.Miss {
 			hit = false
 			s.stats.DRAMReads++
-			c.Fill(addr, 0)
 			var start int64
 			start, remote = s.fillFrom(svc, smID, addr)
 			t = s.dramAt(start, addr) + int64(s.ar.DRAMLatency)
@@ -413,10 +412,9 @@ func (s *System) Atomic(now int64, smID int, addr uint64) int64 {
 	svc, c := s.route(now, smID, addr)
 	var done int64
 	hit, remote := true, false
-	if res := c.Read(addr, 0); res == cache.Miss {
+	if res := c.ReadFill(addr, 0); res == cache.Miss {
 		hit = false
 		s.stats.DRAMReads++
-		c.Fill(addr, 0)
 		var start int64
 		start, remote = s.fillFrom(svc, smID, addr)
 		done = s.dramAt(start, addr) + int64(s.ar.DRAMLatency)
