@@ -43,7 +43,11 @@ type (
 	Kernel = kernel.Kernel
 	// Launch is the runtime placement context a CTA observes.
 	Launch = kernel.Launch
-	// CTAWork is a dispatched CTA's op traces.
+	// CTAWork is a dispatched CTA's op traces, complete in Warps or
+	// streamed in segments through Next (Flatten joins them). A kernel
+	// a transform wraps must produce Work as a pure function of its
+	// Launch: the agent transform calls it lazily, mid-run, when a warp
+	// first reaches the task.
 	CTAWork = kernel.CTAWork
 	// Op is one warp-trace element.
 	Op = kernel.Op

@@ -186,12 +186,16 @@ func New(cfg Config) *Cache {
 			cfg.Size, cfg.Line, cfg.Assoc, cfg.Sectors))
 	}
 	c := &Cache{cfg: cfg, pending: make(map[uint64]mshr)}
+	// Every set and way is carved out of one backing array each; the
+	// full-slice expressions keep a set from growing into its neighbour.
 	c.sectors = make([]sector, cfg.Sectors)
+	sets := make([]set, cfg.Sectors*nsets)
+	ways := make([]line, len(sets)*cfg.Assoc)
+	for i := range sets {
+		sets[i].ways = ways[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	}
 	for i := range c.sectors {
-		c.sectors[i].sets = make([]set, nsets)
-		for j := range c.sectors[i].sets {
-			c.sectors[i].sets[j].ways = make([]line, cfg.Assoc)
-		}
+		c.sectors[i].sets = sets[i*nsets : (i+1)*nsets : (i+1)*nsets]
 	}
 	return c
 }

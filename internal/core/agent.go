@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/kernel"
@@ -57,6 +58,9 @@ type AgentKernel struct {
 	maxAgents int
 	active    int
 	counters  []int // per-SM dynamic agent-id counters (%smid-indexed)
+	// loopSeg is the per-task loop-overhead segment every task of every
+	// agent shares; it is read-only.
+	loopSeg [][]kernel.Op
 }
 
 // NewAgent builds the agent-based clustering transform of orig for the
@@ -84,6 +88,11 @@ func NewAgent(orig kernel.Kernel, cfg AgentConfig) (*AgentKernel, error) {
 	if cfg.PrefetchDepth <= 0 {
 		cfg.PrefetchDepth = 4
 	}
+	loop := []kernel.Op{kernel.Compute(indexCost(cfg.Indexing) + taskLoopCost)}
+	loopSeg := make([][]kernel.Op, orig.WarpsPerCTA())
+	for i := range loopSeg {
+		loopSeg[i] = loop
+	}
 	return &AgentKernel{
 		orig:      orig,
 		cfg:       cfg,
@@ -91,6 +100,7 @@ func NewAgent(orig kernel.Kernel, cfg AgentConfig) (*AgentKernel, error) {
 		maxAgents: occ.CTAsPerSM,
 		active:    active,
 		counters:  make([]int, cfg.Arch.SMs),
+		loopSeg:   loopSeg,
 	}, nil
 }
 
@@ -174,9 +184,18 @@ func (k *AgentKernel) Tasks(sm, agentID int) []int {
 	return out
 }
 
-// Work binds the agent to its SM's cluster and builds the concatenated
+// Work binds the agent to its SM's cluster and returns the complete
 // task-loop trace.
 func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
+	return k.Stream(l).Flatten()
+}
+
+// Stream binds the agent to its SM's cluster and streams its task loop:
+// the binding preamble as Warps, then, per task, the loop-overhead
+// compute, the task's trace and, under Prefetch, warp 0's preload of
+// the successor's first reads. Each task's trace is generated when its
+// segment is pulled, once per task.
+func (k *AgentKernel) Stream(l kernel.Launch) kernel.CTAWork {
 	sm := l.SM
 	if sm < 0 || sm >= k.part.M {
 		sm = 0
@@ -184,9 +203,8 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 
 	// SM-based binding: obtain agent_id.
 	var agentID int
-	var bind [][]kernel.Op // per-warp binding preamble
 	warps := k.orig.WarpsPerCTA()
-	bind = make([][]kernel.Op, warps)
+	bind := make([][]kernel.Op, warps) // per-warp binding preamble
 	if k.cfg.Arch.StaticWarpSlotBinding {
 		// Fermi/Kepler: agent_id = %warpid / WARPS_PER_CTA.
 		agentID = l.Slot
@@ -216,64 +234,115 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 		// CTA throttling: surplus agents retire immediately.
 		return kernel.CTAWork{Skip: true}
 	}
-
-	tasks := k.Tasks(sm, agentID)
-	out := make([][]kernel.Op, warps)
-	for i := range out {
-		out[i] = append(out[i], bind[i]...)
-	}
-	idxc := indexCost(k.cfg.Indexing) + taskLoopCost
-	for ti, target := range tasks {
-		inner := l
-		inner.CTA = target
-		tw := k.orig.Work(inner)
-		if len(tw.Warps) != warps {
-			panic(fmt.Sprintf("core: kernel %s produced %d warps, want %d", k.orig.Name(), len(tw.Warps), warps))
-		}
-		var pre []kernel.Op
-		if k.cfg.Prefetch && ti+1 < len(tasks) {
-			pre = k.prefetchOps(l, tasks[ti+1])
-		}
-		for i := range out {
-			out[i] = append(out[i], kernel.Compute(idxc))
-			for _, op := range tw.Warps[i] {
-				if k.cfg.Bypass && op.Kind == kernel.OpMem && op.Mem.Streaming && !op.Mem.Write {
-					op.Mem.Bypass = true
-				}
-				out[i] = append(out[i], op)
-			}
-			// Preload the successor task's first lines before the
-			// current task expires (Section 4.3-III).
-			if i == 0 && len(pre) > 0 {
-				out[i] = append(out[i], pre...)
-			}
-		}
-	}
-	return kernel.CTAWork{Warps: out}
+	ts := &taskStream{k: k, l: l, tasks: k.Tasks(sm, agentID)}
+	return kernel.CTAWork{Warps: bind, Next: ts.next}
 }
 
-// prefetchOps derives the prefetch preamble for the successor task:
-// recompute its addresses and issue non-blocking loads for its first
-// PrefetchDepth reads.
-func (k *AgentKernel) prefetchOps(l kernel.Launch, nextTarget int) []kernel.Op {
+// taskStream yields one agent's task loop segment by segment.
+type taskStream struct {
+	k     *AgentKernel
+	l     kernel.Launch
+	tasks []int
+	ti    int   // current task
+	phase uint8 // next segment of task ti: 0 overhead, 1 trace, 2 prefetch
+	// succ is task ti+1's trace, generated for ti's prefetch and kept
+	// as that task's trace.
+	succ [][]kernel.Op
+}
+
+func (t *taskStream) next() ([][]kernel.Op, bool) {
+	k := t.k
+	for t.ti < len(t.tasks) {
+		switch t.phase {
+		case 0:
+			t.phase = 1
+			return k.loopSeg, true
+		case 1:
+			t.phase = 2
+			tw := t.succ
+			if tw == nil {
+				tw = k.taskWork(t.l, t.tasks[t.ti])
+			}
+			t.succ = nil
+			if k.cfg.Prefetch && t.ti+1 < len(t.tasks) {
+				t.succ = k.taskWork(t.l, t.tasks[t.ti+1])
+			}
+			if k.cfg.Bypass {
+				tw = bypassStreaming(tw)
+			}
+			return tw, true
+		default:
+			t.phase = 0
+			t.ti++
+			// Preload the successor task's first lines before the
+			// current task expires (Section 4.3-III).
+			if pre := k.prefetchOps(t.succ); len(pre) > 0 {
+				return [][]kernel.Op{pre}, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// taskWork generates the original CTA target's trace as run by the
+// agent launched at l.
+func (k *AgentKernel) taskWork(l kernel.Launch, target int) [][]kernel.Op {
 	inner := l
-	inner.CTA = nextTarget
+	inner.CTA = target
 	tw := k.orig.Work(inner)
-	ops := []kernel.Op{kernel.Compute(idxCostArbitrary)} // address recalculation
-	n := 0
-	for _, wops := range tw.Warps {
+	if len(tw.Warps) != k.orig.WarpsPerCTA() {
+		panic(fmt.Sprintf("core: kernel %s produced %d warps, want %d", k.orig.Name(), len(tw.Warps), k.orig.WarpsPerCTA()))
+	}
+	return tw.Warps
+}
+
+// bypassStreaming rewrites streaming-hinted loads to skip L1, copying
+// only the warps that hold one.
+func bypassStreaming(warps [][]kernel.Op) [][]kernel.Op {
+	var out [][]kernel.Op
+	for i, ops := range warps {
+		first := slices.IndexFunc(ops, isStreamingLoad)
+		if first < 0 {
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(warps)
+		}
+		cp := slices.Clone(ops)
+		for j := first; j < len(cp); j++ {
+			if isStreamingLoad(cp[j]) {
+				cp[j].Mem.Bypass = true
+			}
+		}
+		out[i] = cp
+	}
+	if out == nil {
+		return warps
+	}
+	return out
+}
+
+func isStreamingLoad(op kernel.Op) bool {
+	return op.Kind == kernel.OpMem && op.Mem.Streaming && !op.Mem.Write
+}
+
+// prefetchOps derives the prefetch preamble from the successor task's
+// trace: recompute its addresses and issue non-blocking loads for its
+// first PrefetchDepth reads. It returns nil for a trace without reads.
+func (k *AgentKernel) prefetchOps(succ [][]kernel.Op) []kernel.Op {
+	var ops []kernel.Op
+	for _, wops := range succ {
 		for _, op := range wops {
 			if op.Kind == kernel.OpMem && !op.Mem.Write {
+				if ops == nil {
+					ops = []kernel.Op{kernel.Compute(idxCostArbitrary)} // address recalculation
+				}
 				ops = append(ops, op.Prefetched())
-				n++
-				if n >= k.cfg.PrefetchDepth {
+				if len(ops) > k.cfg.PrefetchDepth {
 					return ops
 				}
 			}
 		}
-	}
-	if n == 0 {
-		return nil
 	}
 	return ops
 }

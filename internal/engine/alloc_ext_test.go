@@ -10,10 +10,13 @@ package engine_test
 // tolerates runtime noise without tolerating regressions.
 
 import (
+	"runtime"
 	"testing"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
+	"ctacluster/internal/kernel"
 	"ctacluster/internal/prof"
 	"ctacluster/internal/workloads"
 )
@@ -24,24 +27,33 @@ import (
 // to a few dozen allocations.
 var allocBudgets = []struct {
 	app      string
-	chiplets int // 0 = monolithic TeslaK40; N = WithChiplets variant
+	scheme   string // "" = the plain app; CLU or CLU+PFH = agent clustering
+	chiplets int    // 0 = monolithic TeslaK40; N = WithChiplets variant
 	shards   int
 	profiled bool
 	budget   float64
+	// mb, when set, caps the bytes allocated per run (MB), measured as
+	// the runtime.MemStats.TotalAlloc delta: AllocsPerRun counts
+	// allocations, not their size.
+	mb float64
 }{
-	{"MM", 0, 1, false, 12650},
-	{"MM", 0, 1, true, 12700},
-	{"MM", 0, 4, false, 17300},
-	{"MM", 0, 4, true, 17450},
-	{"SGM", 0, 1, false, 7450},
-	{"SGM", 0, 1, true, 7500},
-	{"SGM", 0, 4, false, 10200},
-	{"SGM", 0, 4, true, 10300},
+	{"MM", "", 0, 1, false, 8950, 0},
+	{"MM", "", 0, 1, true, 9000, 0},
+	{"MM", "", 0, 4, false, 13600, 0},
+	{"MM", "", 0, 4, true, 13750, 0},
+	{"SGM", "", 0, 1, false, 3750, 0},
+	{"SGM", "", 0, 1, true, 3750, 0},
+	{"SGM", "", 0, 4, false, 6450, 0},
+	{"SGM", "", 0, 4, true, 6600, 0},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{"MM", 2, 1, false, 12450},
-	{"MM", 2, 4, false, 16800},
+	{"MM", "", 2, 1, false, 8750, 0},
+	{"MM", "", 2, 4, false, 13050, 0},
+	// The agent path streams each task's trace (kernel.CTAWork.Next);
+	// the byte ceilings fail a change that materializes it again.
+	{"MM", "CLU", 0, 1, false, 9900, 39.6},
+	{"MM", "CLU+PFH", 0, 1, false, 10550, 39.7},
 }
 
 func TestAllocationBudgets(t *testing.T) {
@@ -51,6 +63,9 @@ func TestAllocationBudgets(t *testing.T) {
 	for _, c := range allocBudgets {
 		ar := arch.TeslaK40()
 		name := c.app
+		if c.scheme != "" {
+			name += "+" + c.scheme
+		}
 		if c.chiplets > 0 {
 			var err error
 			if ar, err = arch.WithChiplets(ar, c.chiplets); err != nil {
@@ -73,6 +88,13 @@ func TestAllocationBudgets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var k kernel.Kernel = app
+			if c.scheme != "" {
+				cfg := core.AgentConfig{Arch: ar, Indexing: app.Partition(), Prefetch: c.scheme == "CLU+PFH"}
+				if k, err = core.NewAgent(app, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
 			run := func() {
 				cfg := engine.DefaultConfig(ar)
 				cfg.Shards = c.shards
@@ -82,7 +104,7 @@ func TestAllocationBudgets(t *testing.T) {
 						Events: prof.MaskAll, SampleInterval: 5000,
 					})
 				}
-				if _, err := engine.Run(cfg, app); err != nil {
+				if _, err := engine.Run(cfg, k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -91,6 +113,19 @@ func TestAllocationBudgets(t *testing.T) {
 			if got > c.budget {
 				t.Errorf("%s allocates %.0f times per run, budget %.0f (+5%% over the post-diet measurement) — the allocation diet regressed",
 					name, got, c.budget)
+			}
+			if c.mb > 0 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				run()
+				runtime.ReadMemStats(&after)
+				mb := float64(after.TotalAlloc-before.TotalAlloc) / 2 / 1e6
+				t.Logf("%s: %.2f MB allocated/run (ceiling %.1f)", name, mb, c.mb)
+				if mb > c.mb {
+					t.Errorf("%s allocates %.1f MB per run, ceiling %.1f (+5%% over the measurement) — a CTA trace is materialized again",
+						name, mb, c.mb)
+				}
 			}
 		})
 	}

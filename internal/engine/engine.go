@@ -155,8 +155,9 @@ func (r *Result) ProfMetrics() prof.Metrics {
 // warpState is one resident warp.
 type warpState struct {
 	cta  *ctaState
-	id   int // warp index within the CTA
-	ops  []kernel.Op
+	id   int         // warp index within the CTA
+	ops  []kernel.Op // the warp's ops in its current segment
+	seg  int         // that segment's index within the CTA's trace
 	pc   int
 	done bool
 
@@ -175,6 +176,17 @@ type ctaState struct {
 	barWait    int // warps blocked at the current barrier
 	barBlocked []*warpState
 	sm         *smState
+
+	// A CTA's trace is a list of segments (kernel.CTAWork). segs holds
+	// the ones pulled and not yet released, segs[0] being segment
+	// segBase; segLeft counts, per held segment, the warps not yet past
+	// it, and a segment is released when that reaches 0. next pulls
+	// the following segment and is nil once the trace is exhausted. A
+	// CTA without a stream is its single segment 0 and keeps segs nil.
+	segs    [][][]kernel.Op
+	segLeft []int
+	segBase int
+	next    func() ([][]kernel.Op, bool)
 }
 
 // smState is one streaming multiprocessor.
@@ -230,6 +242,8 @@ type sim struct {
 	memsys *mem.System
 	sms    []*smState
 	rng    *rand.Rand
+	// stream is kern's streamed form, nil when it has none.
+	stream kernel.Streamer
 
 	lanes   []*lane  // execution lanes; exactly one on the serial path
 	laneOf  []*lane  // SM id -> owning lane
@@ -318,12 +332,14 @@ func RunContext(ctx context.Context, cfg Config, k kernel.Kernel) (*Result, erro
 		r.Reset()
 	}
 
+	streamer, _ := k.(kernel.Streamer)
 	s := &sim{
 		cfg:         cfg,
 		ctx:         ctx,
 		ar:          ar,
 		pol:         pol,
 		kern:        k,
+		stream:      streamer,
 		memsys:      mem.New(ar),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		totalCTAs:   total,

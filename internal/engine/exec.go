@@ -41,7 +41,7 @@ func (l *lane) step(w *warpState) {
 	}
 	cta := w.cta
 	sm := cta.sm
-	if w.pc >= len(w.ops) {
+	if w.pc >= len(w.ops) && !(cta.segs != nil && l.nextSeg(w)) {
 		// Drain outstanding loads before the warp can finish.
 		if w.pendDone > l.now {
 			d := w.pendDone
@@ -143,6 +143,50 @@ func (l *lane) step(w *warpState) {
 			l.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
 		}
 		l.schedule(done, w)
+	}
+}
+
+// nextSeg moves w onto the next segment of its CTA's trace that holds
+// ops for it and reports whether there is one. It runs inline in the
+// step that found w's segment exhausted, so crossing a segment boundary
+// takes no simulated time and w executes exactly the op sequence of the
+// flattened trace. The first warp to reach a segment pulls it from the
+// stream; the pull may generate a task's trace (kernel.Kernel.Work),
+// so a sharded lane takes the global token first and those calls keep
+// serial event order. A segment every warp has moved past is released.
+func (l *lane) nextSeg(w *warpState) bool {
+	cta := w.cta
+	for {
+		i := w.seg - cta.segBase
+		if i+1 == len(cta.segs) {
+			if cta.next == nil {
+				return false
+			}
+			l.global()
+			seg, ok := cta.next()
+			if !ok {
+				cta.next = nil
+				return false
+			}
+			cta.segs = append(cta.segs, seg)
+			cta.segLeft = append(cta.segLeft, len(cta.warps))
+		}
+		if cta.segLeft[i]--; cta.segLeft[i] == 0 {
+			// Warps cross segments in order, so the segment every warp
+			// has passed is the oldest one held: i == 0.
+			cta.segs[0] = nil
+			cta.segs, cta.segLeft = cta.segs[1:], cta.segLeft[1:]
+			cta.segBase++
+		}
+		w.seg++
+		w.pc = 0
+		w.ops = nil
+		if seg := cta.segs[w.seg-cta.segBase]; w.id < len(seg) {
+			w.ops = seg[w.id]
+		}
+		if len(w.ops) > 0 {
+			return true
+		}
 	}
 }
 

@@ -105,7 +105,12 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 		Slot:     slot,
 		WarpSlot: slot * s.warpsPerCTA,
 	}
-	work := s.kern.Work(launch)
+	var work kernel.CTAWork
+	if s.stream != nil {
+		work = s.stream.Stream(launch)
+	} else {
+		work = s.kern.Work(launch)
+	}
 
 	cta := s.newCTA()
 	cta.sm = sm
@@ -136,6 +141,11 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 	sm.slots[slot] = cta
 	cta.warps = make([]*warpState, len(work.Warps))
 	cta.live = len(work.Warps)
+	if work.Next != nil {
+		cta.segs = [][][]kernel.Op{work.Warps}
+		cta.segLeft = []int{len(work.Warps)}
+		cta.next = work.Next
+	}
 	for i, ops := range work.Warps {
 		w := s.newWarp(warpState{cta: cta, id: i, ops: ops})
 		cta.warps[i] = w
@@ -184,6 +194,8 @@ func (l *lane) retire(cta *ctaState, at int64) {
 	cta.rec.Retired = at
 	s.records[cta.rec.CTA] = cta.rec
 	sm := cta.sm
+	// The slab retains cta; don't let it pin the trace or its stream.
+	cta.segs, cta.segLeft, cta.next = nil, nil, nil
 	if s.prof != nil {
 		l.emit(prof.Event{
 			Kind: prof.EvCTARetire, SM: int32(sm.id), CTA: int32(cta.rec.CTA),

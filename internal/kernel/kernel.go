@@ -288,12 +288,81 @@ type Launch struct {
 }
 
 // CTAWork is everything a dispatched CTA will execute.
+//
+// A CTA's trace may be streamed in segments. Warps is the first
+// segment, and it fixes the CTA's warp count. Next, when non-nil,
+// yields each following segment in turn. Warp i's complete trace is
+// Warps[i] followed by entry i of every segment. A consumer that needs
+// the whole trace at once calls Flatten.
 type CTAWork struct {
 	// Warps holds one op trace per warp of the CTA.
 	Warps [][]Op
+	// Next yields the next segment, one []Op per warp, and reports
+	// false once the trace is exhausted. A nil or missing entry means
+	// that warp has nothing in this segment. Entries past len(Warps)
+	// are ignored. Segments may share backing arrays with each other
+	// and with the producer, so a consumer must not modify them.
+	Next func() (warps [][]Op, ok bool)
 	// Skip makes the CTA retire immediately without occupying its slot
 	// beyond dispatch; used by agent throttling (agent_id >= ACTIVE_AGENTS).
 	Skip bool
+}
+
+// Flatten returns w with every segment concatenated onto Warps and a
+// nil Next: the complete trace. It drains Next. Without a Next it
+// returns w unchanged; otherwise the returned traces are fresh slices
+// and never alias w's.
+func (w CTAWork) Flatten() CTAWork {
+	if w.Next == nil {
+		return w
+	}
+	out := make([][]Op, len(w.Warps))
+	for i, ops := range w.Warps {
+		out[i] = append([]Op(nil), ops...)
+	}
+	for {
+		seg, ok := w.Next()
+		if !ok {
+			break
+		}
+		for i := range out {
+			if i < len(seg) {
+				out[i] = append(out[i], seg[i]...)
+			}
+		}
+	}
+	return CTAWork{Warps: out, Skip: w.Skip}
+}
+
+// Prepend streams w behind a one-op prefix segment: every warp first
+// runs op, then its own trace from w. w's traces are not copied; the
+// transforms use it to charge their per-CTA index recomputation.
+func (w CTAWork) Prepend(op Op) CTAWork {
+	prefix := []Op{op}
+	head := make([][]Op, len(w.Warps))
+	for i := range head {
+		head[i] = prefix
+	}
+	body, started := w.Warps, false
+	return CTAWork{Warps: head, Skip: w.Skip, Next: func() ([][]Op, bool) {
+		if !started {
+			started = true
+			return body, true
+		}
+		if w.Next != nil {
+			return w.Next()
+		}
+		return nil, false
+	}}
+}
+
+// Streamer is implemented by kernels, the clustering and swizzle
+// transforms among them, that can hand out a CTA's trace in segments.
+// Stream(l).Flatten() must equal Work(l). The engine calls Stream when
+// a kernel has it and pulls each segment only when the first warp
+// reaches it, so a long trace is never resident at once.
+type Streamer interface {
+	Stream(l Launch) CTAWork
 }
 
 // Kernel is the executable unit the engine dispatches and the clustering
@@ -312,7 +381,11 @@ type Kernel interface {
 	RegsPerThread(g arch.Generation) int
 	// SharedMemPerCTA is the static shared-memory cost in bytes.
 	SharedMemPerCTA() int
-	// Work produces the op traces for the CTA described by l.
+	// Work produces the complete op traces for the CTA described by l.
+	// Next is nil. Work must be a pure function of l: the analyses and
+	// the transforms may call it more than once for one launch, and
+	// the agent transform calls it lazily, mid-run, when a warp first
+	// reaches the task.
 	Work(l Launch) CTAWork
 }
 

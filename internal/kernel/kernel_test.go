@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -341,5 +342,59 @@ func TestOpKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%v.String() = %s", k, k.String())
 		}
+	}
+}
+
+// Flatten joins Warps and every segment per warp: nil, missing and
+// surplus entries add nothing, and the result never aliases the input.
+func TestFlattenJoinsSegments(t *testing.T) {
+	a, b, c := Compute(1), Compute(2), Compute(3)
+	segs := [][][]Op{
+		{{b}, nil},
+		nil,
+		{{c}},
+		{nil, {a, b}, {c}},
+	}
+	head := [][]Op{{a}, {}}
+	w := CTAWork{Warps: head, Skip: true, Next: func() ([][]Op, bool) {
+		if len(segs) == 0 {
+			return nil, false
+		}
+		s := segs[0]
+		segs = segs[1:]
+		return s, true
+	}}
+	got := w.Flatten()
+	want := [][]Op{{a, b, c}, {a, b}}
+	if !reflect.DeepEqual(got.Warps, want) || got.Next != nil || !got.Skip {
+		t.Fatalf("Flatten() = %+v, want warps %v, nil Next, Skip kept", got, want)
+	}
+	got.Warps[0][0] = c
+	if head[0][0].Cycles != a.Cycles {
+		t.Fatal("Flatten's result aliases the input's Warps")
+	}
+
+	plain := CTAWork{Warps: want}
+	if f := plain.Flatten(); &f.Warps[0] != &want[0] {
+		t.Fatal("Flatten copied a trace without segments")
+	}
+}
+
+// Prepend streams one op ahead of every warp's trace, then the trace
+// and its own segments.
+func TestPrependStreamsPrefix(t *testing.T) {
+	a, b, c := Compute(1), Compute(2), Compute(3)
+	more := true
+	w := CTAWork{Warps: [][]Op{{b}, {}}, Next: func() ([][]Op, bool) {
+		if !more {
+			return nil, false
+		}
+		more = false
+		return [][]Op{{c}, {c}}, true
+	}}
+	got := w.Prepend(a).Flatten().Warps
+	want := [][]Op{{a, b, c}, {a, c}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Prepend(a).Flatten() = %v, want %v", got, want)
 	}
 }

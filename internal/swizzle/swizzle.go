@@ -241,31 +241,19 @@ func (k *Kernel) Target(u int) int {
 // Work remaps CTA u to its swizzled tile and charges the per-CTA index
 // recomputation, exactly the way core.RedirectKernel does.
 func (k *Kernel) Work(l kernel.Launch) kernel.CTAWork {
-	target := k.Target(l.CTA)
-	if target == l.CTA && k.cost == 0 {
-		return k.orig.Work(l)
-	}
-	inner := l
-	inner.CTA = target
-	work := k.orig.Work(inner)
-	if k.cost > 0 {
-		work.Warps = prependCompute(work.Warps, k.cost)
-	}
-	return work
+	return k.Stream(l).Flatten()
 }
 
-// prependCompute inserts a compute op of c cycles at the head of every
-// warp trace (the per-thread tile recomputation), without mutating the
-// original traces.
-func prependCompute(warps [][]kernel.Op, c int) [][]kernel.Op {
-	out := make([][]kernel.Op, len(warps))
-	for i, ops := range warps {
-		w := make([]kernel.Op, 0, len(ops)+1)
-		w = append(w, kernel.Compute(c))
-		w = append(w, ops...)
-		out[i] = w
+// Stream is Work with the index recomputation as a one-op prefix
+// segment, followed by the tile's trace uncopied.
+func (k *Kernel) Stream(l kernel.Launch) kernel.CTAWork {
+	inner := l
+	inner.CTA = k.Target(l.CTA)
+	work := k.orig.Work(inner)
+	if k.cost == 0 {
+		return work
 	}
-	return out
+	return work.Prepend(kernel.Compute(k.cost))
 }
 
 // xorPerm is the bit-twiddle swizzle: within each row, tile x is
