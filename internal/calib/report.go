@@ -24,12 +24,10 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// ReportOptions tunes a report run. All three knobs are execution-only:
-// the rendered report is byte-identical at every setting.
+// ReportOptions tunes a report run. Parallelism is execution-only: the
+// rendered report is byte-identical at every setting.
 type ReportOptions struct {
 	Parallelism int
-	Shards      int
-	Quantum     int64
 }
 
 // AppCell is one app's accuracy scores on one platform. Errors are
@@ -88,7 +86,7 @@ type Report struct {
 const (
 	reportBenchmark = "ctacalib report -json (per-app cycle and speedup error vs the committed calibration reference, plus per-platform Figure 2 curve RMS at the committed latency tables)"
 	reportGenerated = "go run ./cmd/ctacalib report -json"
-	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel/-shards/-quantum setting (make calib-smoke regenerates and compares it). Errors are signed relative deviations (sim-ref)/ref; the reference was seeded from the simulator at the committed latency tables, so all-zero errors mean the engine still reproduces its calibration baseline exactly, and any nonzero cell is an accuracy drift introduced after seeding."
+	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel setting (make calib-smoke regenerates and compares it). Errors are signed relative deviations (sim-ref)/ref; the reference was seeded from the simulator at the committed latency tables, so all-zero errors mean the engine still reproduces its calibration baseline exactly, and any nonzero cell is an accuracy drift introduced after seeding."
 )
 
 // simCell is one simulated (platform, app) outcome.
@@ -110,7 +108,7 @@ func simMatrix(platforms []*arch.Arch, apps []*workloads.App, opt ReportOptions)
 	var jobs []func()
 	for pi, ar := range platforms {
 		slots[pi] = make([]slot, len(apps))
-		cfg := engineConfig(ar, opt.Shards, opt.Quantum)
+		cfg := engine.DefaultConfig(ar)
 		for ai, app := range apps {
 			s := &slots[pi][ai]
 			clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
@@ -180,7 +178,7 @@ func BuildReport(platforms []*arch.Arch, apps []*workloads.App, ref *Reference, 
 		if err != nil {
 			return nil, err
 		}
-		def, stag, err := simCurves(ar, opt.Shards, opt.Quantum)
+		def, stag, err := simCurves(ar)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,7 @@ package engine_test
 
 // The allocation budget table: the enforcement half of the hot-path
 // allocation diet. Each cell pins the whole-run allocation count of a
-// real workload on TeslaK40 — serial and sharded, bare and profiled —
+// real workload on TeslaK40 — bare and profiled —
 // to a budget 5% above the measured post-diet value. A change that
 // reintroduces per-event allocations (queue boxing, per-access
 // transaction slices, per-object warp/CTA allocation) blows these
@@ -29,7 +29,6 @@ var allocBudgets = []struct {
 	app      string
 	scheme   string // "" = the plain app; CLU or CLU+PFH = agent clustering
 	chiplets int    // 0 = monolithic TeslaK40; N = WithChiplets variant
-	shards   int
 	profiled bool
 	budget   float64
 	// mb, when set, caps the bytes allocated per run (MB), measured as
@@ -37,23 +36,18 @@ var allocBudgets = []struct {
 	// allocations, not their size.
 	mb float64
 }{
-	{"MM", "", 0, 1, false, 8950, 0},
-	{"MM", "", 0, 1, true, 9000, 0},
-	{"MM", "", 0, 4, false, 13600, 0},
-	{"MM", "", 0, 4, true, 13750, 0},
-	{"SGM", "", 0, 1, false, 3750, 0},
-	{"SGM", "", 0, 1, true, 3750, 0},
-	{"SGM", "", 0, 4, false, 6450, 0},
-	{"SGM", "", 0, 4, true, 6600, 0},
+	{"MM", "", 0, false, 8950, 0},
+	{"MM", "", 0, true, 9000, 0},
+	{"SGM", "", 0, false, 3750, 0},
+	{"SGM", "", 0, true, 3750, 0},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{"MM", "", 2, 1, false, 8750, 0},
-	{"MM", "", 2, 4, false, 13050, 0},
+	{"MM", "", 2, false, 8750, 0},
 	// The agent path streams each task's trace (kernel.CTAWork.Next);
 	// the byte ceilings fail a change that materializes it again.
-	{"MM", "CLU", 0, 1, false, 9900, 39.6},
-	{"MM", "CLU+PFH", 0, 1, false, 10550, 39.7},
+	{"MM", "CLU", 0, false, 9900, 39.6},
+	{"MM", "CLU+PFH", 0, false, 10550, 39.7},
 }
 
 func TestAllocationBudgets(t *testing.T) {
@@ -73,11 +67,7 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 			name += "/2die"
 		}
-		if c.shards == 1 {
-			name += "/serial"
-		} else {
-			name += "/sharded"
-		}
+		name += "/serial"
 		if c.profiled {
 			name += "/profiled"
 		} else {
@@ -97,7 +87,6 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 			run := func() {
 				cfg := engine.DefaultConfig(ar)
-				cfg.Shards = c.shards
 				if c.profiled {
 					cfg.Profiler = prof.NewTrace(prof.TraceConfig{
 						Kernel: c.app, Arch: ar.Name, SMs: ar.SMs,

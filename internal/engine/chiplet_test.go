@@ -1,29 +1,18 @@
 package engine_test
 
-// The chiplet differential wall. Two contracts, two matrices:
-//
-//  1. Monolithic equivalence — arch.WithChiplets(ar, 0) must be
-//     byte-identical to the untouched descriptor at every shard count:
-//     deep-equal Results, identical rescache keys, and a byte-identical
-//     profiler stream. This pins the tentpole's "0 dies = the seed
-//     engine" clause: the chiplet code may not perturb the monolithic
-//     model by even one cycle.
-//
-//  2. Sharded-chiplet determinism — on a real chiplet descriptor the
-//     sharded engine must reproduce the serial Result and prof stream
-//     exactly, for plain, die-swizzled and clustered kernels. The
-//     interposer-link and slice state are engine-replayed like every
-//     other memory structure; this matrix is where a divergence would
-//     surface.
+// The chiplet engine wall. Monolithic equivalence —
+// arch.WithChiplets(ar, 0) must be byte-identical to the untouched
+// descriptor: deep-equal Results, identical rescache keys, and a
+// byte-identical profiler stream, so the chiplet code cannot perturb
+// the monolithic model by even one cycle. On a real chiplet descriptor
+// the interposer model must be engaged and visible in the prof stream.
 
 import (
 	"reflect"
 	"testing"
 
 	"ctacluster/internal/arch"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/prof"
 	"ctacluster/internal/rescache"
 	"ctacluster/internal/swizzle"
@@ -40,14 +29,9 @@ func chipletOf(t *testing.T, base *arch.Arch, dies int) *arch.Arch {
 	return a
 }
 
-// chipletEquivShards is the monolithic-equivalence shard matrix: the
-// serial engine, even splits, and the odd non-divisor count.
-var chipletEquivShards = []int{1, 2, 4, 7}
-
 // TestChipletZeroMonolithicEquivalence is the byte-identity golden:
-// WithChiplets(ar, 0) against the untouched descriptor, at every shard
-// count, comparing the full Result, the rescache key and a full-mask
-// profiler stream.
+// WithChiplets(ar, 0) against the untouched descriptor, comparing the
+// full Result, the rescache key and a full-mask profiler stream.
 func TestChipletZeroMonolithicEquivalence(t *testing.T) {
 	apps := []string{"MM", "ATX"}
 	arches := []*arch.Arch{arch.TeslaK40(), arch.GTX980()}
@@ -65,135 +49,32 @@ func TestChipletZeroMonolithicEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range chipletEquivShards {
-				run := func(a *arch.Arch) (*engine.Result, *prof.Trace) {
-					tr := prof.NewTrace(prof.TraceConfig{
-						Kernel: name, Arch: a.Name, SMs: a.SMs,
-						Events: prof.MaskAll, SampleInterval: 5000,
-					})
-					cfg := engine.DefaultConfig(a)
-					cfg.Shards = shards
-					cfg.Profiler = tr
-					res, err := engine.Run(cfg, app)
-					if err != nil {
-						t.Fatalf("%s/%s shards=%d: %v", name, a.Name, shards, err)
-					}
-					return res, tr
-				}
-				base, baseTr := run(ar)
-				got, gotTr := run(zero)
-				if !reflect.DeepEqual(base, got) {
-					t.Errorf("%s/%s shards=%d: Chiplets=0 result differs from monolithic (cycles %d vs %d)",
-						name, ar.Name, shards, base.Cycles, got.Cycles)
-				}
-				if !reflect.DeepEqual(baseTr.Events(), gotTr.Events()) ||
-					!reflect.DeepEqual(baseTr.Snapshots(), gotTr.Snapshots()) {
-					t.Errorf("%s/%s shards=%d: Chiplets=0 prof stream differs from monolithic",
-						name, ar.Name, shards)
-				}
-				cfg := engine.DefaultConfig(ar)
-				zcfg := engine.DefaultConfig(zero)
-				if rescache.ConfigKey("x", "", cfg) != rescache.ConfigKey("x", "", zcfg) {
-					t.Errorf("%s: Chiplets=0 rescache key differs from monolithic — cache entries would fragment", ar.Name)
-				}
-			}
-		}
-	}
-}
-
-// TestChipletShardedMatchesSerial is the determinism matrix on a real
-// chiplet descriptor: plain, die-swizzled and agent-clustered kernels
-// at every shard count must deep-equal the serial oracle — the
-// interposer counters included (they ride in Result.Mem).
-func TestChipletShardedMatchesSerial(t *testing.T) {
-	ar := chipletOf(t, arch.TeslaK40(), 2)
-	apps := []string{"MM", "NW"}
-	if raceEnabled || testing.Short() {
-		apps = apps[:1]
-	}
-	shardCounts := []int{2, 4, 7}
-	if raceEnabled || testing.Short() {
-		shardCounts = []int{2, 7}
-	}
-	for _, name := range apps {
-		app, err := workloads.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		swz, err := swizzle.WrapFor("dieblock", app, ar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []kernel.Kernel{app, swz, clu} {
-			cfg := engine.DefaultConfig(ar)
-			serial, err := engine.Run(cfg, k)
-			if err != nil {
-				t.Fatalf("%s serial: %v", k.Name(), err)
-			}
-			if serial.Mem.RemoteL2Transactions == 0 {
-				t.Errorf("%s on %s: zero remote transactions — the chiplet model is not engaged", k.Name(), ar.Name)
-			}
-			for _, n := range shardCounts {
-				cfg := engine.DefaultConfig(ar)
-				cfg.Shards = n
-				got, err := engine.Run(cfg, k)
+			run := func(a *arch.Arch) (*engine.Result, *prof.Trace) {
+				tr := prof.NewTrace(prof.TraceConfig{
+					Kernel: name, Arch: a.Name, SMs: a.SMs,
+					Events: prof.MaskAll, SampleInterval: 5000,
+				})
+				cfg := engine.DefaultConfig(a)
+				cfg.Profiler = tr
+				res, err := engine.Run(cfg, app)
 				if err != nil {
-					t.Fatalf("%s shards=%d: %v", k.Name(), n, err)
+					t.Fatalf("%s/%s: %v", name, a.Name, err)
 				}
-				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("%s on %s: shards=%d differs from serial (cycles %d vs %d, remote txns %d vs %d)",
-						k.Name(), ar.Name, n, serial.Cycles, got.Cycles,
-						serial.Mem.RemoteL2Transactions, got.Mem.RemoteL2Transactions)
-				}
+				return res, tr
+			}
+			base, baseTr := run(ar)
+			got, gotTr := run(zero)
+			if !reflect.DeepEqual(base, got) {
+				t.Errorf("%s/%s: Chiplets=0 result differs from monolithic (cycles %d vs %d)",
+					name, ar.Name, base.Cycles, got.Cycles)
+			}
+			if !reflect.DeepEqual(baseTr.Events(), gotTr.Events()) ||
+				!reflect.DeepEqual(baseTr.Snapshots(), gotTr.Snapshots()) {
+				t.Errorf("%s/%s: Chiplets=0 prof stream differs from monolithic", name, ar.Name)
 			}
 		}
-	}
-}
-
-// TestChipletShardedProfStreamByteIdentical extends the prof-stream
-// contract to the chiplet path: the merged sharded stream — Remote
-// flags on EvL2Transaction events included — must match the serial one
-// exactly on a 2-die descriptor.
-func TestChipletShardedProfStreamByteIdentical(t *testing.T) {
-	ar := chipletOf(t, arch.TeslaK40(), 2)
-	app, err := workloads.New("MM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := func(shards int) *prof.Trace {
-		tr := prof.NewTrace(prof.TraceConfig{
-			Kernel: app.Name(), Arch: ar.Name, SMs: ar.SMs,
-			Events: prof.MaskAll, SampleInterval: 5000,
-		})
-		cfg := engine.DefaultConfig(ar)
-		cfg.Profiler = tr
-		cfg.Shards = shards
-		if _, err := engine.Run(cfg, app); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return tr
-	}
-	serial := trace(1)
-	var remotes int
-	for _, e := range serial.Events() {
-		if e.Kind == prof.EvL2Transaction && e.Remote {
-			remotes++
-		}
-	}
-	if remotes == 0 {
-		t.Error("no Remote-flagged L2 transaction events on a 2-die run — the observer plumbing is dead")
-	}
-	for _, n := range []int{2, 7} {
-		got := trace(n)
-		if !reflect.DeepEqual(serial.Events(), got.Events()) {
-			t.Errorf("shards=%d chiplet event stream differs (%d vs %d events)", n, len(serial.Events()), len(got.Events()))
-		}
-		if !reflect.DeepEqual(serial.Snapshots(), got.Snapshots()) {
-			t.Errorf("shards=%d chiplet snapshot stream differs", n)
+		if rescache.ConfigKey("x", "", engine.DefaultConfig(ar)) != rescache.ConfigKey("x", "", engine.DefaultConfig(zero)) {
+			t.Errorf("%s: Chiplets=0 rescache key differs from monolithic — cache entries would fragment", ar.Name)
 		}
 	}
 }
@@ -203,7 +84,8 @@ func TestChipletShardedProfStreamByteIdentical(t *testing.T) {
 // the interposer traffic (it exists to move it) while conserving the
 // work multiset — same CTA count, same total L2 read+write transaction
 // volume shape is NOT required, but the grid and CTA records must line
-// up one-to-one.
+// up one-to-one. The plain run must also engage the interposer model
+// and flag its remote L2 transactions in the prof stream.
 func TestChipletDieblockChangesPlacementOnly(t *testing.T) {
 	ar := chipletOf(t, arch.TeslaK40(), 2)
 	app, err := workloads.New("MM")
@@ -214,9 +96,26 @@ func TestChipletDieblockChangesPlacementOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := engine.Run(engine.DefaultConfig(ar), app)
+	tr := prof.NewTrace(prof.TraceConfig{
+		Kernel: app.Name(), Arch: ar.Name, SMs: ar.SMs, Events: prof.MaskL2,
+	})
+	cfg := engine.DefaultConfig(ar)
+	cfg.Profiler = tr
+	base, err := engine.Run(cfg, app)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base.Mem.RemoteL2Transactions == 0 {
+		t.Errorf("zero remote transactions on %s — the chiplet model is not engaged", ar.Name)
+	}
+	var remotes uint64
+	for _, e := range tr.Events() {
+		if e.Kind == prof.EvL2Transaction && e.Remote {
+			remotes++
+		}
+	}
+	if remotes != base.Mem.RemoteL2Transactions {
+		t.Errorf("%d Remote-flagged L2 transaction events, want %d — the observer plumbing is broken", remotes, base.Mem.RemoteL2Transactions)
 	}
 	got, err := engine.Run(engine.DefaultConfig(ar), swz)
 	if err != nil {

@@ -1,46 +1,26 @@
 package engine
 
-// The engine's event queue. Two implementations share the scheduler
-// front-end:
+// The engine's event queue: a two-level calendar queue — a ring of
+// bucketCount cycle buckets over a typed binary heap. Events within the
+// bucket horizon [base, base+bucketCount) land in the bucket of their
+// cycle with an O(1) append and pop back out with an O(1) cursor scan;
+// only events beyond the horizon pay the heap's O(log n) sift. Nothing
+// boxes: pushes and pops move flat event values, so the steady-state
+// queue cost is zero allocations (pinned by
+// TestEventQueueSchedulePopZeroAlloc and the alloc budget table).
 //
-//   - The default is a two-level calendar queue: a ring of bucketCount
-//     cycle buckets over a typed binary heap. Events within the bucket
-//     horizon [base, base+bucketCount) land in the bucket of their cycle
-//     with an O(1) append and pop back out with an O(1) cursor scan; only
-//     events beyond the horizon pay the heap's O(log n) sift. Because the
-//     engine consumes events in nondecreasing cycle order and every
-//     schedule call is strictly future (shard.go's invariant 2), each
-//     bucket is appended in increasing seq order — see the invariant
-//     argument below — so a bucket never needs sorting or heap repair.
-//     Nothing boxes: pushes and pops move flat event values, so the
-//     steady-state queue cost is zero allocations (pinned by
-//     TestEventQueueSchedulePopZeroAlloc and the alloc budget table).
+// Two properties of the engine make the buckets correct without sorting
+// or repair:
 //
-//   - Config.RefEventQueue selects the reference implementation: a plain
-//     typed binary min-heap ordered by (at, seq), semantically the
-//     pre-diet container/heap queue without the interface{} boxing. It
-//     exists for the differential test wall (queue_diff_test.go) and as
-//     an escape hatch: both implementations must produce byte-identical
-//     pop orders on every legal schedule sequence.
-//
-// Per-bucket seq-sortedness invariant. A bucket receives appends from
-// three sources, and each appends in increasing seq order with every
-// later source's seqs larger than every earlier one's:
-//
-//  1. Horizon drains (rebase): the heap pops in (at, seq) order, so the
-//     events drained into one bucket (= one cycle) arrive in increasing
-//     seq order. A rebase only runs when every bucket is empty, so two
-//     drains never interleave within one bucket lap.
-//  2. Serial-path pushes: the serial scheduler's seq counter is global
-//     and monotone, so any direct push carries a seq above every seq
-//     already queued anywhere.
-//  3. Sharded pushes: in-window provisional seqs (provBase + pending
-//     index) increase in lane-local call order and sort above every
-//     serial seq; window-edge merge pushes (scheduleSeq/scheduleBatch)
-//     carry freshly assigned serial seqs from the coordinator's monotone
-//     counter, above every seq assigned earlier. Provisional events are
-//     always consumed within their window, so no provisional entry ever
-//     outlives a lap and appears below a later serial append.
+//  1. No scheduling into the past: a step at cycle T schedules events
+//     at >= T (every model latency is >= 1 cycle). The pop cursor sits
+//     at the last popped cycle, so no push lands behind it, and every
+//     push lies at or past base, so the ring never aliases.
+//  2. Per-bucket seq order: a bucket receives appends from horizon
+//     drains (rebase pops the heap in (at, seq) order, and runs only
+//     when every bucket is empty) and from direct pushes, whose seq
+//     comes from a monotone counter and so exceeds every seq already
+//     queued.
 //
 // Pops therefore read each bucket front to back and get (at, seq) order
 // for free; FuzzEventQueueOrder drives randomized legal schedules against
@@ -52,18 +32,11 @@ type event struct {
 	at   int64
 	seq  uint64 // tie-break for determinism
 	warp *warpState
-	// node is non-nil only for events scheduled inside the current shard
-	// window, whose serial seq is not assigned yet: seq then holds a
-	// provisional value (provBase + pending index, heap-ordered the same
-	// as the eventual serial seq within this lane) and node records the
-	// schedule call's position for cross-lane ordering (see shard.go).
-	node *callNode
 }
 
-// eventHeap is a typed binary min-heap of events ordered by (at, seq).
-// It is the far tier of the calendar queue and, alone, the whole
-// reference implementation. No interface{} crosses its API: push and pop
-// sift flat event values in place.
+// eventHeap is a typed binary min-heap of events ordered by (at, seq):
+// the far tier of the calendar queue. No interface{} crosses its API:
+// push and pop sift flat event values in place.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -115,12 +88,9 @@ func (h *eventHeap) pop() event {
 }
 
 // bucketCount is the calendar span in cycles: a power of two so the
-// bucket of a cycle is a mask, sized past every architecture's derived
-// epoch quantum (min over the latency table - 1; at most 131 today, see
-// DeriveEpochQuantum) so a whole shard window's in-window schedules land
-// in buckets. Correctness never depends on the span — a window wider
-// than the span just pays a mid-window rebase — only the O(1) fast path
-// does.
+// bucket of a cycle is a mask, and wider than every model latency short
+// of a DRAM round trip, so most schedules land in buckets. Correctness
+// never depends on the span, only the O(1) fast path does.
 const (
 	bucketCount = 256
 	bucketMask  = bucketCount - 1
@@ -134,7 +104,7 @@ type eventBucket struct {
 	head int
 }
 
-// scheduler is one lane's event queue plus its serial tie-break counter.
+// scheduler is the run's event queue plus its tie-break counter.
 type scheduler struct {
 	seq uint64
 
@@ -147,38 +117,10 @@ type scheduler struct {
 	base  int64
 	cur   int64
 	inBkt int
-
-	// ref routes every push and pop through the far heap alone — the
-	// reference (pre-diet) queue discipline (Config.RefEventQueue).
-	ref bool
 }
 
-func newScheduler(ref bool) scheduler {
-	s := scheduler{ref: ref}
-	if !ref {
-		s.bkt = make([]eventBucket, bucketCount)
-	}
-	return s
-}
-
-// push routes one event to its tier. The bucket append relies on the
-// per-bucket seq-sortedness invariant documented at the top of the file.
-func (s *scheduler) push(e event) {
-	if !s.ref && e.at < s.base+bucketCount {
-		b := &s.bkt[e.at&bucketMask]
-		b.ev = append(b.ev, e)
-		s.inBkt++
-		// A head() peek may have cached a cursor past this cycle (it
-		// scanned to a later leftover event); pull it back so the pop scan
-		// cannot pass this bucket. e.at > base always — every push is
-		// strictly future of the lane's last pop, and base never exceeds
-		// that pop's cycle — so the ring mapping stays unaliased.
-		if e.at < s.cur {
-			s.cur = e.at
-		}
-		return
-	}
-	s.far.push(e)
+func newScheduler() scheduler {
+	return scheduler{bkt: make([]eventBucket, bucketCount)}
 }
 
 // rebase jumps the calendar to the heap's head cycle and drains every
@@ -196,50 +138,24 @@ func (s *scheduler) rebase() {
 	}
 }
 
-// schedule enqueues w with the next internally counted sequence number.
-// The serial engine runs on a single scheduler, so the internal counter
-// is exactly the global schedule-call order the (at, seq) tie-break
-// needs for determinism.
+// schedule enqueues w at cycle at with the next sequence number, so
+// events at one cycle pop in schedule-call order — the deterministic
+// tie-break. The bucket append relies on the invariants documented at
+// the top of the file.
 func (s *scheduler) schedule(at int64, w *warpState) {
 	s.seq++
-	s.push(event{at: at, seq: s.seq, warp: w})
-}
-
-// scheduleSeq enqueues w under an externally assigned sequence number.
-// Sharded runs assign seqs centrally — at the epoch barrier, in the
-// order the serial engine's counter would have produced — so the
-// tie-break stays byte-identical at every shard count (see shard.go).
-func (s *scheduler) scheduleSeq(at int64, seq uint64, w *warpState) {
-	s.push(event{at: at, seq: seq, warp: w})
-}
-
-// scheduleBatch bulk-loads the lane's slice of a window-edge merge: one
-// presized, (at, seq)-sorted slice per window instead of a stream of
-// scheduleSeq calls (see (*sharder).mergePending). Sorted input keeps
-// the per-bucket seq invariant trivially and touches each bucket's
-// append path in cycle order.
-func (s *scheduler) scheduleBatch(evs []event) {
-	for i := range evs {
-		s.push(evs[i])
+	e := event{at: at, seq: s.seq, warp: w}
+	if at < s.base+bucketCount {
+		b := &s.bkt[at&bucketMask]
+		b.ev = append(b.ev, e)
+		s.inBkt++
+		return
 	}
-}
-
-// schedulePending enqueues w under a provisional sequence number for
-// immediate in-window execution on a sharded lane; n carries the
-// schedule call's position until the window-edge merge assigns the
-// serial seq (see shard.go).
-func (s *scheduler) schedulePending(at int64, seq uint64, n *callNode, w *warpState) {
-	s.push(event{at: at, seq: seq, warp: w, node: n})
+	s.far.push(e)
 }
 
 // next pops the earliest queued event in (at, seq) order.
 func (s *scheduler) next() (event, bool) {
-	if s.ref {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		return s.far.pop(), true
-	}
 	if s.inBkt == 0 {
 		if len(s.far) == 0 {
 			return event{}, false
@@ -259,51 +175,11 @@ func (s *scheduler) next() (event, bool) {
 			s.inBkt--
 			return e, true
 		}
-		// Every queued bucket event sits at or above cur (pushes are
-		// strictly future of the last pop), so skipping an empty cycle
+		// Every queued bucket event sits at or above cur (no push lands
+		// before the last pop's cycle), so skipping an empty cycle
 		// never passes one; inBkt > 0 bounds the scan to the span.
 		s.cur++
 	}
-}
-
-// head peeks the earliest queued event without removing it.
-func (s *scheduler) head() (event, bool) {
-	if s.ref {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		return s.far[0], true
-	}
-	if s.inBkt == 0 {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		// Far events all sit at or past the horizon; no bucket event
-		// exists to undercut the heap head. Rebase is deferred to next().
-		return s.far[0], true
-	}
-	c := s.cur
-	for {
-		b := &s.bkt[c&bucketMask]
-		if b.head < len(b.ev) {
-			s.cur = c // cache the scan: cur only ever rises to the head's cycle
-			return b.ev[b.head], true
-		}
-		c++
-	}
-}
-
-// headAt returns the cycle of the earliest queued event.
-func (s *scheduler) headAt() (int64, bool) {
-	e, ok := s.head()
-	return e.at, ok
-}
-
-// headSeq returns the seq of the earliest queued event; the queue must
-// be non-empty.
-func (s *scheduler) headSeq() uint64 {
-	e, _ := s.head()
-	return e.seq
 }
 
 func (s *scheduler) empty() bool { return s.inBkt == 0 && len(s.far) == 0 }

@@ -3,111 +3,58 @@ package engine
 // Unit wall for the event queue itself (event.go): the zero-allocation
 // contract of the steady-state schedule/pop pair, a fuzz target that
 // drives randomized legal schedule sequences against a sort-based
-// reference model, and a microbenchmark comparing the calendar queue
-// with the reference heap. The whole-engine differential goldens live
-// in queue_diff_test.go.
+// reference model, and a microbenchmark of the schedule/pop pair.
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
-// TestEventQueueSchedulePopZeroAlloc pins the tentpole's core claim:
-// once the bucket ring and far heap have grown to their steady-state
-// capacities, a schedule/pop pair allocates nothing — for both the
-// calendar queue and the reference heap (neither boxes events).
+// TestEventQueueSchedulePopZeroAlloc pins the queue's core claim: once
+// the bucket ring and far heap have grown to their steady-state
+// capacities, a schedule/pop pair allocates nothing (no event is boxed).
 func TestEventQueueSchedulePopZeroAlloc(t *testing.T) {
-	for _, ref := range []bool{false, true} {
-		name := "calendar"
-		if ref {
-			name = "refheap"
+	t.Run("calendar", func(t *testing.T) {
+		s := newScheduler()
+		w := &warpState{}
+		var now int64
+		// Warm to steady state: mixed near/far deltas grow every bucket
+		// and the far heap past what the measured loop needs.
+		for i := 0; i < 4096; i++ {
+			s.schedule(now+1+int64(i%300), w)
+			if i%2 == 0 {
+				e, _ := s.next()
+				now = e.at
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			s := newScheduler(ref)
-			w := &warpState{}
-			var now int64
-			// Warm to steady state: mixed near/far deltas grow every bucket
-			// and the far heap past what the measured loop needs.
-			for i := 0; i < 4096; i++ {
-				s.schedule(now+1+int64(i%300), w)
-				if i%2 == 0 {
-					e, _ := s.next()
-					now = e.at
-				}
-			}
-			for !s.empty() {
-				e, _ := s.next()
-				now = e.at
-			}
-			i := int64(0)
-			n := testing.AllocsPerRun(1000, func() {
-				// The same near/far delta mix as the warmup, so the pair
-				// exercises bucket appends, far pushes and rebases.
-				s.schedule(now+1+i%300, w)
-				e, _ := s.next()
-				now = e.at
-				i++
-			})
-			if n != 0 {
-				t.Errorf("steady-state schedule/pop pair allocates %.1f times, want 0", n)
-			}
+		for !s.empty() {
+			e, _ := s.next()
+			now = e.at
+		}
+		i := int64(0)
+		n := testing.AllocsPerRun(1000, func() {
+			// The same near/far delta mix as the warmup, so the pair
+			// exercises bucket appends, far pushes and rebases.
+			s.schedule(now+1+i%300, w)
+			e, _ := s.next()
+			now = e.at
+			i++
 		})
-	}
-}
-
-// TestEventQueueInterleavedPeek reproduces the failure class the pop
-// cursor is most exposed to: a peek scans ahead to a far-future leftover
-// event (caching the cursor), then a push lands at a nearer cycle — the
-// pattern a window-edge merge creates on an idle lane. The nearer event
-// must still pop first.
-func TestEventQueueInterleavedPeek(t *testing.T) {
-	s := newScheduler(false)
-	w := &warpState{}
-	s.schedule(10, w)  // seq 1
-	s.schedule(200, w) // seq 2, same bucket lap, far ahead
-	if e, ok := s.next(); !ok || e.at != 10 {
-		t.Fatalf("first pop = (%d,%v), want cycle 10", e.at, ok)
-	}
-	if e, ok := s.head(); !ok || e.at != 200 {
-		t.Fatalf("peek = (%d,%v), want cycle 200", e.at, ok)
-	}
-	s.schedule(11, w) // strictly future of the last pop, behind the peek
-	if e, ok := s.next(); !ok || e.at != 11 {
-		t.Fatalf("pop after interleaved push = (%d,%v), want cycle 11", e.at, ok)
-	}
-	if e, ok := s.next(); !ok || e.at != 200 {
-		t.Fatalf("final pop = (%d,%v), want cycle 200", e.at, ok)
-	}
-}
-
-// popAllSorted drains a model slice in (at, seq) order.
-func modelSort(m []event) {
-	slices.SortFunc(m, func(a, b event) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
+		if n != 0 {
+			t.Errorf("steady-state schedule/pop pair allocates %.1f times, want 0", n)
 		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
 	})
 }
 
 // FuzzEventQueueOrder drives the scheduler with randomized legal
-// schedule sequences — every push strictly future of the last pop,
+// schedule sequences — no push before the last pop's cycle,
 // sequence numbers monotone in push order, hostile cycle deltas that
-// straddle the bucket horizon — interleaved with peeks and pops, and
+// straddle the bucket horizon — interleaved with pops, and
 // checks every pop against a sort-based reference model. The per-bucket
 // seq-sortedness argument in event.go is what this target keeps honest.
 func FuzzEventQueueOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 4, 10, 0, 200, 6, 0, 1, 3, 6, 0, 6, 0}, false)
-	f.Add([]byte{2, 255, 2, 254, 6, 1, 0, 1, 5, 9, 6, 2, 7, 7}, false)
-	f.Add([]byte{0, 1, 4, 10, 0, 200, 6, 0, 1, 3, 6, 0, 6, 0}, true)
-	f.Fuzz(func(t *testing.T, data []byte, ref bool) {
-		s := newScheduler(ref)
+	f.Add([]byte{0, 1, 4, 10, 0, 200, 6, 0, 1, 3, 6, 0, 6, 0})
+	f.Add([]byte{2, 255, 2, 254, 6, 1, 0, 1, 5, 9, 6, 2, 7, 7})
+	f.Add([]byte{0, 10, 0, 200, 6, 0, 0, 1, 6, 0, 4, 3, 6, 0, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := newScheduler()
 		var model []event
 		w := &warpState{}
 		var now int64 // cycle of the last pop: the legality floor
@@ -139,9 +86,12 @@ func FuzzEventQueueOrder(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch op % 8 {
-			case 0, 1: // near push: inside the bucket span
+			case 0: // near push: inside the bucket span
 				s.schedule(now+1+int64(arg), w)
 				model = append(model, event{at: now + 1 + int64(arg), seq: s.seq})
+			case 1: // near push that may land on the last pop's cycle
+				s.schedule(now+int64(arg%4), w)
+				model = append(model, event{at: now + int64(arg%4), seq: s.seq})
 			case 2, 3: // far push: usually past the horizon
 				at := now + 1 + int64(arg)*37
 				s.schedule(at, w)
@@ -150,18 +100,6 @@ func FuzzEventQueueOrder(f *testing.F) {
 				at := now + int64(bucketCount) - 4 + int64(arg%9)
 				s.schedule(at, w)
 				model = append(model, event{at: at, seq: s.seq})
-			case 5: // peek: must match the model head and not disturb order
-				got, ok := s.head()
-				if ok != (len(model) > 0) {
-					t.Fatalf("head ok=%v but model holds %d events", ok, len(model))
-				}
-				if ok {
-					m := slices.Clone(model)
-					modelSort(m)
-					if got.at != m[0].at || got.seq != m[0].seq {
-						t.Fatalf("head diverges: got (%d,%d), want (%d,%d)", got.at, got.seq, m[0].at, m[0].seq)
-					}
-				}
 			default: // pop
 				checkPop()
 			}
@@ -175,29 +113,21 @@ func FuzzEventQueueOrder(f *testing.F) {
 	})
 }
 
-// BenchmarkEventQueuePair measures the steady-state schedule/pop pair
-// for both implementations; the calendar queue's O(1) fast path is the
-// half of the allocation diet that is pure speed rather than GC relief.
+// BenchmarkEventQueuePair measures the steady-state schedule/pop pair;
+// the calendar queue's O(1) fast path is the half of the allocation
+// diet that is pure speed rather than GC relief.
 func BenchmarkEventQueuePair(b *testing.B) {
-	for _, ref := range []bool{false, true} {
-		name := "calendar"
-		if ref {
-			name = "refheap"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := newScheduler(ref)
-			w := &warpState{}
-			var now int64
-			for i := 0; i < 1024; i++ {
-				s.schedule(now+1+int64(i%300), w)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.schedule(now+1+int64(i%300), w)
-				e, _ := s.next()
-				now = e.at
-			}
-		})
+	s := newScheduler()
+	w := &warpState{}
+	var now int64
+	for i := 0; i < 1024; i++ {
+		s.schedule(now+1+int64(i%300), w)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.schedule(now+1+int64(i%300), w)
+		e, _ := s.next()
+		now = e.at
 	}
 }

@@ -12,67 +12,66 @@ const mlpWindow = 6
 
 // emitStall records a warp blocking until the given cycle. Callers
 // guard with s.prof != nil so the disabled path stays branch-only.
-func (l *lane) emitStall(w *warpState, reason prof.StallReason, until int64) {
-	dur := until - l.now
+func (s *sim) emitStall(w *warpState, reason prof.StallReason, until int64) {
+	dur := until - s.now
 	if dur < 0 {
 		dur = 0
 	}
-	l.emit(prof.Event{
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvWarpStall, Tag: uint8(reason),
 		SM: int32(w.cta.sm.id), CTA: int32(w.cta.rec.CTA), Warp: int32(w.id),
-		Slot: int32(w.cta.rec.Slot), Cycle: l.now, Dur: dur,
+		Slot: int32(w.cta.rec.Slot), Cycle: s.now, Dur: dur,
 	})
 }
 
 // emitMemOp records one completed warp memory instruction.
-func (l *lane) emitMemOp(w *warpState, class prof.MemClass, addr uint64, issue, done int64, write bool) {
-	l.emit(prof.Event{
+func (s *sim) emitMemOp(w *warpState, class prof.MemClass, addr uint64, issue, done int64, write bool) {
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvMemOp, Tag: uint8(class), Write: write,
 		SM: int32(w.cta.sm.id), CTA: int32(w.cta.rec.CTA), Warp: int32(w.id),
 		Slot: int32(w.cta.rec.Slot), Cycle: issue, Dur: done - issue, Addr: addr,
 	})
 }
 
-// step executes the next op of warp w at the lane's current time.
-func (l *lane) step(w *warpState) {
-	s := l.s
+// step executes the next op of warp w at the current cycle.
+func (s *sim) step(w *warpState) {
 	if w.done {
 		return
 	}
 	cta := w.cta
 	sm := cta.sm
-	if w.pc >= len(w.ops) && !(cta.segs != nil && l.nextSeg(w)) {
+	if w.pc >= len(w.ops) && !(cta.segs != nil && s.nextSeg(w)) {
 		// Drain outstanding loads before the warp can finish.
-		if w.pendDone > l.now {
+		if w.pendDone > s.now {
 			d := w.pendDone
 			w.pendDone = 0
 			w.outstanding = 0
 			if s.prof != nil {
-				l.emitStall(w, prof.StallTraceEnd, d)
+				s.emitStall(w, prof.StallTraceEnd, d)
 			}
-			l.schedule(d, w)
+			s.q.schedule(d, w)
 			return
 		}
-		l.finishWarp(w)
+		s.finishWarp(w)
 		return
 	}
 	op := &w.ops[w.pc]
 
 	// Barriers, stores and atomics consume loaded values: drain the
 	// load window first.
-	if drains(op) && w.pendDone > l.now {
+	if drains(op) && w.pendDone > s.now {
 		d := w.pendDone
 		w.pendDone = 0
 		w.outstanding = 0
 		if s.prof != nil {
-			l.emitStall(w, prof.StallDrain, d)
+			s.emitStall(w, prof.StallDrain, d)
 		}
-		l.schedule(d, w)
+		s.q.schedule(d, w)
 		return
 	}
 	w.pc++
 
-	issue := l.now
+	issue := s.now
 	if sm.issueFree > issue {
 		issue = sm.issueFree
 	}
@@ -84,7 +83,7 @@ func (l *lane) step(w *warpState) {
 		if c < 1 {
 			c = 1
 		}
-		l.schedule(issue+c, w)
+		s.q.schedule(issue+c, w)
 
 	case kernel.OpBarrier:
 		cta.barWait++
@@ -92,16 +91,16 @@ func (l *lane) step(w *warpState) {
 			release := issue + barrierLatency
 			cta.barWait = 0
 			for _, peer := range cta.barBlocked {
-				l.schedule(release, peer)
+				s.q.schedule(release, peer)
 			}
 			cta.barBlocked = cta.barBlocked[:0]
-			l.schedule(release, w)
+			s.q.schedule(release, w)
 		} else {
 			cta.barBlocked = append(cta.barBlocked, w)
 		}
 
 	case kernel.OpMem:
-		done := l.memAccess(sm, cta, &op.Mem, issue)
+		done := s.memAccess(sm, cta, &op.Mem, issue)
 		if s.prof != nil {
 			class := prof.MemLoad
 			switch {
@@ -110,11 +109,11 @@ func (l *lane) step(w *warpState) {
 			case op.Mem.Write:
 				class = prof.MemStore
 			}
-			l.emitMemOp(w, class, op.Mem.Base, issue, done, op.Mem.Write)
+			s.emitMemOp(w, class, op.Mem.Base, issue, done, op.Mem.Write)
 		}
 		if op.Mem.Prefetch || op.Mem.Write {
 			// Prefetches and stores are fire-and-forget.
-			l.schedule(issue+1, w)
+			s.q.schedule(issue+1, w)
 			break
 		}
 		cta.rec.MemLatency += done - issue
@@ -129,20 +128,19 @@ func (l *lane) step(w *warpState) {
 			w.pendDone = 0
 			w.outstanding = 0
 			if s.prof != nil {
-				l.emitStall(w, prof.StallWindowFull, d)
+				s.emitStall(w, prof.StallWindowFull, d)
 			}
-			l.schedule(d, w)
+			s.q.schedule(d, w)
 		} else {
-			l.schedule(issue+1, w)
+			s.q.schedule(issue+1, w)
 		}
 
 	case kernel.OpAtomic:
-		l.global()
 		done := s.memsys.Atomic(issue, sm.id, op.Mem.Base)
 		if s.prof != nil {
-			l.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
+			s.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
 		}
-		l.schedule(done, w)
+		s.q.schedule(done, w)
 	}
 }
 
@@ -151,10 +149,8 @@ func (l *lane) step(w *warpState) {
 // step that found w's segment exhausted, so crossing a segment boundary
 // takes no simulated time and w executes exactly the op sequence of the
 // flattened trace. The first warp to reach a segment pulls it from the
-// stream; the pull may generate a task's trace (kernel.Kernel.Work),
-// so a sharded lane takes the global token first and those calls keep
-// serial event order. A segment every warp has moved past is released.
-func (l *lane) nextSeg(w *warpState) bool {
+// stream; a segment every warp has moved past is released.
+func (s *sim) nextSeg(w *warpState) bool {
 	cta := w.cta
 	for {
 		i := w.seg - cta.segBase
@@ -162,7 +158,6 @@ func (l *lane) nextSeg(w *warpState) bool {
 			if cta.next == nil {
 				return false
 			}
-			l.global()
 			seg, ok := cta.next()
 			if !ok {
 				cta.next = nil
@@ -202,29 +197,29 @@ func drains(op *kernel.Op) bool {
 	}
 }
 
-func (l *lane) finishWarp(w *warpState) {
+func (s *sim) finishWarp(w *warpState) {
 	w.done = true
 	w.ops = nil // the slab retains w; don't let it pin the trace too
 	cta := w.cta
 	cta.live--
 	if cta.live == 0 {
-		l.retire(cta, l.now)
+		s.retire(cta, s.now)
 		return
 	}
 	// A finishing warp may satisfy a barrier its peers are waiting at.
 	if cta.barWait > 0 && cta.barWait >= cta.live {
-		release := l.now + barrierLatency
+		release := s.now + barrierLatency
 		cta.barWait = 0
 		for _, peer := range cta.barBlocked {
-			l.schedule(release, peer)
+			s.q.schedule(release, peer)
 		}
 		cta.barBlocked = cta.barBlocked[:0]
 	}
 }
 
 // emitL1 records one L1-line access outcome.
-func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
-	l.emit(prof.Event{
+func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvCacheAccess, Tag: uint8(res), Write: write,
 		SM: int32(sm.id), CTA: int32(cta.rec.CTA), Warp: -1,
 		Slot: int32(cta.rec.Slot), Cycle: at, Addr: addr,
@@ -232,12 +227,10 @@ func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result,
 }
 
 // memAccess routes one warp memory op through the hierarchy and returns
-// the absolute completion time. The per-SM L1, with its MSHR table of
-// in-flight fills, is lane-private; any excursion into the shared memory
-// system first takes the global token so L2/DRAM state advances in
-// serial event order.
-func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64) int64 {
-	s := l.s
+// the absolute completion time. The per-SM L1 owns its MSHR table of
+// in-flight fills; misses, bypasses and stores go on to the shared
+// memory system.
+func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64) int64 {
 	ar := s.ar
 	if m.Write {
 		// Write-evict: invalidate any cached copy per L1 line, then
@@ -245,18 +238,17 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int6
 		// completed fill first so the invalidation sees it.
 		if s.cfg.L1Enabled && !m.Bypass {
 			sector := s.sectorFor(cta)
-			l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
-			for _, a := range l.txBuf {
+			s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+			for _, a := range s.txBuf {
 				res := sm.l1.WriteAt(a, sector, issue)
 				if s.prof != nil {
-					l.emitL1(sm, cta, a, res, issue, true)
+					s.emitL1(sm, cta, a, res, issue, true)
 				}
 			}
 		}
 		done := issue + storeAckLatency
-		l.global()
-		l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L2Line)
-		for _, a := range l.txBuf {
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		for _, a := range s.txBuf {
 			if t := s.memsys.Write(issue, sm.id, a, ar.L2Line); t > done {
 				_ = t // stores are fire-and-forget; bank pressure still applied
 			}
@@ -267,12 +259,11 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int6
 	// Read path.
 	if !s.cfg.L1Enabled || m.Bypass {
 		done := issue
-		l.global()
-		l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L2Line)
-		for _, a := range l.txBuf {
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		for _, a := range s.txBuf {
 			res := sm.l1.BypassRead()
 			if s.prof != nil {
-				l.emitL1(sm, cta, a, res, issue, false)
+				s.emitL1(sm, cta, a, res, issue, false)
 			}
 			if t := s.memsys.Read(issue, sm.id, a, ar.L2Line); t > done {
 				done = t
@@ -286,12 +277,12 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int6
 
 	sector := s.sectorFor(cta)
 	done := issue
-	l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
-	for _, a := range l.txBuf {
+	s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+	for _, a := range s.txBuf {
 		var t int64
 		res, ready := sm.l1.ReadAt(a, sector, issue)
 		if s.prof != nil {
-			l.emitL1(sm, cta, a, res, issue, false)
+			s.emitL1(sm, cta, a, res, issue, false)
 		}
 		switch res {
 		case cache.Hit:
@@ -311,7 +302,6 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int6
 				base = a &^ 63
 				nbytes = 2 * ar.L2Line
 			}
-			l.global()
 			t = s.memsys.Read(issue, sm.id, base, nbytes)
 			sm.l1.SetFillTime(a, sector, t)
 		}

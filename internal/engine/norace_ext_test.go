@@ -3,6 +3,7 @@
 package engine_test
 
 // raceEnabled reports whether the race detector is compiled in; the
-// sharded-vs-serial differential sweep shrinks its workload set under
-// -race so the fully instrumented matrix stays within CI budgets.
+// larger differential sweeps shrink their workload sets under -race so
+// the instrumented suite stays within CI budgets, and the allocation
+// budgets skip (race builds change allocation counts).
 const raceEnabled = false

@@ -6,7 +6,6 @@ package engine_test
 // profiler event is identical.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -46,26 +45,23 @@ func TestStreamedTransformsMatchFlattened(t *testing.T) {
 				t.Fatal(err)
 			}
 			for scheme, build := range schemes {
-				for _, shards := range []int{1, 2} {
-					cfg := engine.DefaultConfig(ar)
-					cfg.Shards = shards
-					run := func(wrap func(kernel.Kernel) kernel.Kernel) *engine.Result {
-						k, err := build(app, ar)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := engine.Run(cfg, wrap(k))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
+				cfg := engine.DefaultConfig(ar)
+				run := func(wrap func(kernel.Kernel) kernel.Kernel) *engine.Result {
+					k, err := build(app, ar)
+					if err != nil {
+						t.Fatal(err)
 					}
-					streamed := run(func(k kernel.Kernel) kernel.Kernel { return k })
-					flat := run(func(k kernel.Kernel) kernel.Kernel { return hide{k} })
-					if !reflect.DeepEqual(streamed, flat) {
-						t.Errorf("%s/%s/%s shards=%d: streamed run differs from flattened (cycles %d vs %d)",
-							ar.Name, name, scheme, shards, streamed.Cycles, flat.Cycles)
+					res, err := engine.Run(cfg, wrap(k))
+					if err != nil {
+						t.Fatal(err)
 					}
+					return res
+				}
+				streamed := run(func(k kernel.Kernel) kernel.Kernel { return k })
+				flat := run(func(k kernel.Kernel) kernel.Kernel { return hide{k} })
+				if !reflect.DeepEqual(streamed, flat) {
+					t.Errorf("%s/%s/%s: streamed run differs from flattened (cycles %d vs %d)",
+						ar.Name, name, scheme, streamed.Cycles, flat.Cycles)
 				}
 			}
 		}
@@ -133,34 +129,31 @@ func (k *segKernel) segment(cta, s int) [][]kernel.Op {
 
 func TestSyntheticStreamMatchesFlattened(t *testing.T) {
 	for _, ar := range []*arch.Arch{arch.TeslaK40(), arch.GTX980()} {
-		for _, shards := range []int{1, 2} {
-			run := func(k kernel.Kernel) (*engine.Result, *prof.Trace) {
-				tr := prof.NewTrace(prof.TraceConfig{
-					Kernel: k.Name(), Arch: ar.Name, SMs: ar.SMs,
-					Events: prof.MaskAll, SampleInterval: 500,
-				})
-				cfg := engine.DefaultConfig(ar)
-				cfg.Shards = shards
-				cfg.Profiler = tr
-				res, err := engine.Run(cfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, tr
+		run := func(k kernel.Kernel) (*engine.Result, *prof.Trace) {
+			tr := prof.NewTrace(prof.TraceConfig{
+				Kernel: k.Name(), Arch: ar.Name, SMs: ar.SMs,
+				Events: prof.MaskAll, SampleInterval: 500,
+			})
+			cfg := engine.DefaultConfig(ar)
+			cfg.Profiler = tr
+			res, err := engine.Run(cfg, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s/shards=%d", ar.Name, shards)
-			k := &segKernel{ctas: 3 * ar.SMs, warps: 4, segs: 20}
-			res, tr := run(k)
-			flatRes, flatTr := run(hide{k})
-			if !reflect.DeepEqual(res, flatRes) {
-				t.Errorf("%s: streamed Result differs from flattened (cycles %d vs %d)", name, res.Cycles, flatRes.Cycles)
-			}
-			if !reflect.DeepEqual(tr.Events(), flatTr.Events()) {
-				t.Errorf("%s: streamed event stream differs from flattened (%d vs %d events)", name, len(tr.Events()), len(flatTr.Events()))
-			}
-			if !reflect.DeepEqual(tr.Snapshots(), flatTr.Snapshots()) {
-				t.Errorf("%s: streamed counter snapshots differ from flattened", name)
-			}
+			return res, tr
+		}
+		name := ar.Name
+		k := &segKernel{ctas: 3 * ar.SMs, warps: 4, segs: 20}
+		res, tr := run(k)
+		flatRes, flatTr := run(hide{k})
+		if !reflect.DeepEqual(res, flatRes) {
+			t.Errorf("%s: streamed Result differs from flattened (cycles %d vs %d)", name, res.Cycles, flatRes.Cycles)
+		}
+		if !reflect.DeepEqual(tr.Events(), flatTr.Events()) {
+			t.Errorf("%s: streamed event stream differs from flattened (%d vs %d events)", name, len(tr.Events()), len(flatTr.Events()))
+		}
+		if !reflect.DeepEqual(tr.Snapshots(), flatTr.Snapshots()) {
+			t.Errorf("%s: streamed counter snapshots differ from flattened", name)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"io/fs"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -279,6 +280,23 @@ func TestBadRequests(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "only apply to scheme CLU") {
 		t.Fatalf("agents-on-BSL err = %v", err)
 	}
+
+	// Raw bodies the typed client cannot produce: one past the body
+	// bound, and ones carrying fields the strict decoder does not know.
+	for name, body := range map[string]string{
+		"oversized":     `{"app":"MM","arch":"TeslaK40","scheme":"` + strings.Repeat("x", 2<<20) + `"}`,
+		"shards":        `{"app":"MM","arch":"TeslaK40","shards":4}`,
+		"epoch_quantum": `{"app":"MM","arch":"TeslaK40","epoch_quantum":1}`,
+	} {
+		resp, err := http.Post(c.BaseURL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s body: status %d, want 400", name, resp.StatusCode)
+		}
+	}
 }
 
 func TestTablesHealthMetricsEndpoints(t *testing.T) {
@@ -400,88 +418,6 @@ func TestQuickSweepEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatal("warm sweep bytes differ from decoded cold response re-encoding")
-	}
-}
-
-// TestOptimizeShardedColdWarmByteIdentical pins the shard-enabled
-// framework probes end to end: a daemon sharding its probe simulations
-// (auto-derived epoch window) must serve byte-identical /v1/optimize
-// responses to a serial daemon, and its own warm repeat must be a cache
-// hit — the optimize key is app+arch only, so the execution knobs
-// cannot fragment it.
-func TestOptimizeShardedColdWarmByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	req := api.OptimizeRequest{App: "KMN", Arch: "GTX750Ti"}
-
-	serialC := newDaemon(t, server.Config{Workers: 1})
-	serial, err := serialC.Optimize(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shardedC := newDaemon(t, server.Config{Workers: 1, Shards: 4})
-	cold, err := shardedC.Optimize(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, cold) {
-		t.Errorf("sharded /v1/optimize differs from serial:\nserial: %+v\nsharded: %+v", serial, cold)
-	}
-	warm, err := shardedC.Optimize(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Error("warm sharded optimize response differs from cold")
-	}
-	m, err := shardedC.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Queue.Executions != 1 || m.Cache.Hits != 1 {
-		t.Fatalf("metrics = %+v %+v, want one execution + one warm hit", m.Queue, m.Cache)
-	}
-}
-
-// TestSimulateQuantumSharesCacheEntries pins the rescache carve-out end
-// to end: simulate requests that differ only in the execution-only
-// fields (shards, epoch_quantum) must map to the same digest, so the
-// second request is a warm hit with byte-identical body — no new
-// engine execution.
-func TestSimulateQuantumSharesCacheEntries(t *testing.T) {
-	c := newDaemon(t, server.Config{Workers: 2})
-	ctx := context.Background()
-
-	cold, disp, err := c.SimulateRaw(ctx, api.SimulateRequest{App: "NW", Arch: "GTX750Ti"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disp != "miss" {
-		t.Fatalf("cold disposition = %q, want miss", disp)
-	}
-	for _, req := range []api.SimulateRequest{
-		{App: "NW", Arch: "GTX750Ti", Shards: 4},
-		{App: "NW", Arch: "GTX750Ti", Shards: 4, EpochQuantum: 1},
-		{App: "NW", Arch: "GTX750Ti", Shards: 3, EpochQuantum: 500},
-	} {
-		warm, disp, err := c.SimulateRaw(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if disp != "hit" {
-			t.Fatalf("shards=%d quantum=%d disposition = %q, want hit — execution-only fields leaked into the digest",
-				req.Shards, req.EpochQuantum, disp)
-		}
-		if !bytes.Equal(cold, warm) {
-			t.Fatalf("shards=%d quantum=%d body differs from the serial cold response", req.Shards, req.EpochQuantum)
-		}
-	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Queue.Executions != 1 {
-		t.Fatalf("executions = %d, want 1 — quantum requests must share the cache entry", m.Queue.Executions)
 	}
 }
 
