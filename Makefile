@@ -22,8 +22,9 @@ race:
 
 # Short fuzz smoke of the partition bijection, the swizzle bijectivity,
 # the engine's random-kernel invariants, the event-queue pop order,
-# the disk-cache entry codec and the coalescer against its
-# sort-and-compact reference; CI runs these bounded, `make fuzz
+# the disk-cache entry codec, the coalescer against its
+# sort-and-compact reference and the L1/L2 cache against its
+# struct-of-lines, Go-map reference; CI runs these bounded, `make fuzz
 # FUZZTIME=10m` digs deeper locally. (go test accepts one -fuzz pattern
 # per run, so each target is its own invocation.)
 FUZZTIME ?= 30s
@@ -36,21 +37,24 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDieBlockBijective -fuzztime=$(FUZZTIME) ./internal/swizzle
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTransactions -fuzztime=$(FUZZTIME) ./internal/kernel
+	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/cache
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The allocation gate the CI enforces: the pinned allocation budget
 # table (alloc_ext_test.go — every cell within 5% of the post-diet
-# measurement), the zero-alloc queue and coalescing contracts, and a
+# measurement), the zero-alloc queue and coalescing contracts, a
 # short allocation-reporting pass of the bare-engine benchmark for the
-# log. Uninstrumented on purpose: race builds change allocation counts,
+# log, and the L1/L2/mem layer benchmarks, which fail if a steady-state
+# pass over their access stream allocates. Uninstrumented on purpose: race builds change allocation counts,
 # so this gate is the one place the CI runs the engine without -race.
 # Pipe two runs through `benchstat` locally if you want significance
 # on the ns/op column; the alloc columns are deterministic.
 bench-alloc:
 	$(GO) test -run='TestAllocationBudgets|TestEventQueueSchedulePopZeroAlloc|TestAppendTransactionsZeroAlloc|TestAnalyzerZeroAlloc|TestAnalyzerAllocationBudgets' -count=1 -v ./internal/engine ./internal/kernel ./internal/swizzle | grep -v '^=== RUN'
 	$(GO) test -run='^$$' -bench='BenchmarkRunBare' -benchtime=3x -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='BenchmarkL1ReadAt|BenchmarkL2ReadFill|BenchmarkMemRead' -benchtime=100000x -benchmem ./internal/cache ./internal/mem
 
 # The daemon gate the CI enforces: the ctad end-to-end suite (cold/warm
 # byte-identity, 16-way request dedup, client-disconnect cancellation,

@@ -10,11 +10,25 @@
 // entry carries the cycle its fill lands (SetFillTime), so ReadAt and
 // WriteAt install a landed line themselves; the caller keeps no fill
 // table of its own.
+//
+// Retirement is lazy. An entry leaves the table when Fill is called, or
+// when ReadAt or WriteAt next touches its line at or after the fill
+// time; only then is the line installed, evicting its victim. A landed
+// fill whose line is never touched again installs nothing, evicts
+// nothing and stays Pending to the end of the run, so the table holds
+// most of a run's misses: at the end of MM on TeslaK40 about 3,500 to
+// 4,900 entries per SM out of about 7,400 L1 reads, on GTX980 up to
+// 27,648 (every read), and for BFS about 4,100 to 8,600. Retiring an
+// entry when its fill lands would change which lines are resident, and
+// so the results.
 package cache
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+
+	"ctacluster/internal/fastmod"
 )
 
 // Result classifies one cache access.
@@ -134,27 +148,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.ReadHits) / float64(s.Reads)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
-type set struct {
-	ways []line
-}
-
-type sector struct {
-	sets []set
-}
-
-// mshr is one in-flight line: the requesters merged on it and the cycle
-// its fill lands (math.MaxInt64 until SetFillTime names it).
-type mshr struct {
-	waiters int
-	ready   int64
-}
+// tagWord is the tag-store word of a resident line: its line number,
+// addr >> log2(Line), shifted left over a valid bit. The line number is
+// below 2^62 because New requires Line >= 4, so no bit is lost, and a
+// zero word is an invalid way.
+func tagWord(tag uint64) uint64 { return tag<<1 | 1 }
 
 // Cache is a set-associative, LRU cache with optional sectoring and
 // MSHR-based miss merging. It is a timing/occupancy model: no data is
@@ -162,16 +160,29 @@ type mshr struct {
 // in flight: only a fill installs a line, and the fill retires its MSHR
 // entry. That is why ReadAt can serve a resident line without looking
 // in the MSHR table.
+//
+// The tag store is flat, one array per field, indexed
+// (sector*nsets+set)*assoc+way, so a set's tags are assoc consecutive
+// words. Set selection is a mask or a reciprocal multiply (fastmod), so
+// no access divides.
 type Cache struct {
-	cfg     Config
-	sectors []sector
-	pending map[uint64]mshr // pendKey -> in-flight line (MSHR)
-	clock   uint64
-	stats   Stats
+	cfg       Config
+	lineShift uint            // log2(Line)
+	nsets     int             // sets per sector
+	setMod    fastmod.Divisor // nsets
+	tags      []uint64        // tagWord of the resident line; 0 = invalid
+	lru       []uint64        // clock of the last touch; larger = more recent
+	dirty     []bool
+	pending   mshrTable
+	clock     uint64
+	stats     Stats
 }
 
-// New builds a cache from cfg. Size must be divisible by Line*Assoc*
-// Sectors and the per-sector set count must be a power of two.
+// New builds a cache from cfg. Line must be a power of two of at least
+// 4 bytes: set selection shifts by it, and the MSHR key packs the sector
+// into the two low bits of addr/Line. The per-sector set count is
+// Size/Sectors/(Line*Assoc), rounded down; it need not be a power of two
+// (the TeslaK40 L2 has 3072 sets, the sectored L1s 96 or 48 per sector).
 func New(cfg Config) *Cache {
 	if cfg.Sectors <= 0 {
 		cfg.Sectors = 1
@@ -179,25 +190,25 @@ func New(cfg Config) *Cache {
 	if cfg.Line <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic("cache: invalid config")
 	}
+	if cfg.Line < 4 || cfg.Line&(cfg.Line-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d is not a power of two of at least 4 bytes", cfg.Line))
+	}
 	perSector := cfg.Size / cfg.Sectors
 	nsets := perSector / (cfg.Line * cfg.Assoc)
 	if nsets <= 0 {
 		panic(fmt.Sprintf("cache: size %d too small for line %d assoc %d sectors %d",
 			cfg.Size, cfg.Line, cfg.Assoc, cfg.Sectors))
 	}
-	c := &Cache{cfg: cfg, pending: make(map[uint64]mshr)}
-	// Every set and way is carved out of one backing array each; the
-	// full-slice expressions keep a set from growing into its neighbour.
-	c.sectors = make([]sector, cfg.Sectors)
-	sets := make([]set, cfg.Sectors*nsets)
-	ways := make([]line, len(sets)*cfg.Assoc)
-	for i := range sets {
-		sets[i].ways = ways[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	ways := cfg.Sectors * nsets * cfg.Assoc
+	return &Cache{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.Line))),
+		nsets:     nsets,
+		setMod:    fastmod.New(uint64(nsets)),
+		tags:      make([]uint64, ways),
+		lru:       make([]uint64, ways),
+		dirty:     make([]bool, ways),
 	}
-	for i := range c.sectors {
-		c.sectors[i].sets = sets[i*nsets : (i+1)*nsets : (i+1)*nsets]
-	}
-	return c
 }
 
 // Config returns the construction configuration.
@@ -211,16 +222,17 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // LineBase returns addr rounded down to its line base.
 func (c *Cache) LineBase(addr uint64) uint64 {
-	return addr / uint64(c.cfg.Line) * uint64(c.cfg.Line)
+	return addr &^ (uint64(c.cfg.Line) - 1)
 }
 
-func (c *Cache) locate(addr uint64, sectorID int) (*set, uint64) {
-	if sectorID < 0 || sectorID >= len(c.sectors) {
+// locate returns the index of way 0 of addr's set and addr's tag. An
+// out-of-range sector falls back to sector 0.
+func (c *Cache) locate(addr uint64, sectorID int) (int, uint64) {
+	if sectorID < 0 || sectorID >= c.cfg.Sectors {
 		sectorID = 0
 	}
-	base := addr / uint64(c.cfg.Line)
-	sec := &c.sectors[sectorID]
-	return &sec.sets[base%uint64(len(sec.sets))], base
+	tag := addr >> c.lineShift
+	return (sectorID*c.nsets + int(c.setMod.Mod(tag))) * c.cfg.Assoc, tag
 }
 
 // pendKey names a line in the MSHR table; tag is addr / Line, as
@@ -230,27 +242,32 @@ func pendKey(tag uint64, sectorID int) uint64 {
 	return tag<<2 | uint64(sectorID&3)
 }
 
-func (s *set) find(tag uint64) *line {
-	for i := range s.ways {
-		if s.ways[i].valid && s.ways[i].tag == tag {
-			return &s.ways[i]
+// find returns the way of set holding tag, or -1.
+func (c *Cache) find(set int, tag uint64) int {
+	word := tagWord(tag)
+	for i, t := range c.tags[set : set+c.cfg.Assoc] {
+		if t == word {
+			return set + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (s *set) victim() *line {
-	v := &s.ways[0]
-	for i := range s.ways {
-		w := &s.ways[i]
-		if !w.valid {
-			return w
+// victim returns the way of set to replace: the first invalid way, else
+// the least recently used one (the first of equals).
+func (c *Cache) victim(set int) int {
+	tags := c.tags[set : set+c.cfg.Assoc]
+	lru := c.lru[set : set+len(tags)]
+	v := 0
+	for i, t := range tags {
+		if t == 0 {
+			return set + i
 		}
-		if w.lru < v.lru {
-			v = w
+		if lru[i] < lru[v] {
+			v = i
 		}
 	}
-	return v
+	return set + v
 }
 
 // Read performs a demand load of the line containing addr in the given
@@ -270,48 +287,47 @@ func (c *Cache) Read(addr uint64, sectorID int) Result {
 // lands. On Miss the caller fetches the line and then calls
 // SetFillTime once with the cycle it arrives.
 func (c *Cache) ReadAt(addr uint64, sectorID int, now int64) (Result, int64) {
-	st, tag := c.locate(addr, sectorID)
-	ln := st.find(tag)
-	if ln == nil {
+	set, tag := c.locate(addr, sectorID)
+	w := c.find(set, tag)
+	if w < 0 {
 		key := pendKey(tag, sectorID)
-		e, ok := c.pending[key]
-		switch {
-		case !ok:
+		i, ok := c.pending.find(key)
+		if !ok {
 			c.clock++
 			c.stats.Reads++
 			c.stats.ReadMisses++
-			c.pending[key] = mshr{waiters: 1, ready: math.MaxInt64}
+			c.pending.add(i, key)
 			return Miss, 0
-		case e.ready > now:
+		}
+		if e := &c.pending.slots[i]; e.ready > now {
 			c.clock++
 			c.stats.Reads++
 			c.stats.ReadReserved++
 			e.waiters++
-			c.pending[key] = e
 			return HitReserved, e.ready
 		}
-		delete(c.pending, key)
-		ln = c.fill(st, tag)
+		c.pending.remove(i)
+		w = c.fill(set, tag)
 	}
-	c.readHit(ln)
+	c.readHit(w)
 	return Hit, 0
 }
 
-func (c *Cache) readHit(ln *line) {
+func (c *Cache) readHit(w int) {
 	c.clock++
 	c.stats.Reads++
 	c.stats.ReadHits++
-	ln.lru = c.clock
+	c.lru[w] = c.clock
 }
 
 // SetFillTime records the cycle the in-flight fetch of addr's line
 // lands. ReadAt and WriteAt install the line on their first access at
-// or after that cycle. It is a no-op for a line not in flight.
+// or after that cycle. It is a no-op for a line not in flight. Called
+// right after the Miss that created the entry, it finds the entry
+// without probing.
 func (c *Cache) SetFillTime(addr uint64, sectorID int, at int64) {
-	key := pendKey(addr/uint64(c.cfg.Line), sectorID)
-	if e, ok := c.pending[key]; ok {
+	if e := c.pending.get(pendKey(addr>>c.lineShift, sectorID)); e != nil {
 		e.ready = at
-		c.pending[key] = e
 	}
 }
 
@@ -319,18 +335,20 @@ func (c *Cache) SetFillTime(addr uint64, sectorID int, at int64) {
 // fill completes within the call, as the L2 models it. It never leaves
 // an MSHR entry behind.
 func (c *Cache) ReadFill(addr uint64, sectorID int) Result {
-	st, tag := c.locate(addr, sectorID)
-	if ln := st.find(tag); ln != nil {
-		c.readHit(ln)
+	set, tag := c.locate(addr, sectorID)
+	if w := c.find(set, tag); w >= 0 {
+		c.readHit(w)
 		return Hit
 	}
-	if _, ok := c.pending[pendKey(tag, sectorID)]; ok {
-		return c.Read(addr, sectorID) // merges as HitReserved
+	if c.pending.n != 0 {
+		if _, ok := c.pending.find(pendKey(tag, sectorID)); ok {
+			return c.Read(addr, sectorID) // merges as HitReserved
+		}
 	}
 	c.clock++
 	c.stats.Reads++
 	c.stats.ReadMisses++
-	c.fill(st, tag)
+	c.fill(set, tag)
 	return Miss
 }
 
@@ -351,23 +369,22 @@ func (c *Cache) Write(addr uint64, sectorID int) Result {
 // WriteAt is Write at cycle now: like ReadAt, it first installs the
 // line if its pending fill has landed by now, so the store sees it.
 func (c *Cache) WriteAt(addr uint64, sectorID int, now int64) Result {
-	st, tag := c.locate(addr, sectorID)
-	ln := st.find(tag)
-	if ln == nil {
-		key := pendKey(tag, sectorID)
-		if e, ok := c.pending[key]; ok && e.ready <= now {
-			delete(c.pending, key)
-			ln = c.fill(st, tag)
+	set, tag := c.locate(addr, sectorID)
+	w := c.find(set, tag)
+	if w < 0 && c.pending.n != 0 {
+		if i, ok := c.pending.find(pendKey(tag, sectorID)); ok && c.pending.slots[i].ready <= now {
+			c.pending.remove(i)
+			w = c.fill(set, tag)
 		}
 	}
 	c.clock++
 	c.stats.Writes++
 	switch c.cfg.Policy {
 	case WriteEvict:
-		if ln != nil {
+		if w >= 0 {
 			// Invalidate: this is the early-eviction mechanism behind
 			// the write-related category (Figure 4-D).
-			ln.valid = false
+			c.tags[w] = 0
 			c.stats.Evictions++
 			c.stats.WriteHits++
 		} else {
@@ -375,14 +392,14 @@ func (c *Cache) WriteAt(addr uint64, sectorID int, now int64) Result {
 		}
 		return Miss // always forwarded to the next level
 	case WriteBackAllocate:
-		if ln != nil {
-			ln.dirty = true
-			ln.lru = c.clock
+		if w >= 0 {
+			c.dirty[w] = true
+			c.lru[w] = c.clock
 			c.stats.WriteHits++
 			return Hit
 		}
 		c.stats.WriteMisses++
-		c.insert(st, tag, true)
+		c.insert(set, tag, true)
 		return Miss // allocation fill from the next level
 	default:
 		panic("cache: unknown write policy")
@@ -393,66 +410,63 @@ func (c *Cache) WriteAt(addr uint64, sectorID int, now int64) Result {
 // releases any requesters merged on the MSHR entry. It returns how many
 // requesters (including the original) were waiting.
 func (c *Cache) Fill(addr uint64, sectorID int) int {
-	st, tag := c.locate(addr, sectorID)
-	key := pendKey(tag, sectorID)
-	waiters := c.pending[key].waiters
-	delete(c.pending, key)
+	set, tag := c.locate(addr, sectorID)
+	waiters := 0
+	if i, ok := c.pending.find(pendKey(tag, sectorID)); ok {
+		waiters = c.pending.slots[i].waiters
+		c.pending.remove(i)
+	}
 	c.clock++
 	c.stats.Fills++
-	if st.find(tag) == nil {
-		c.insert(st, tag, false)
+	if c.find(set, tag) < 0 {
+		c.insert(set, tag, false)
 	}
 	return max(waiters, 1)
 }
 
-// fill installs a fetched line that is not resident and returns it.
-func (c *Cache) fill(st *set, tag uint64) *line {
+// fill installs a fetched line that is not resident and returns its way.
+func (c *Cache) fill(set int, tag uint64) int {
 	c.clock++
 	c.stats.Fills++
-	return c.insert(st, tag, false)
+	return c.insert(set, tag, false)
 }
 
 // Pending reports whether a fetch for addr's line is in flight.
 func (c *Cache) Pending(addr uint64, sectorID int) bool {
-	_, ok := c.pending[pendKey(addr/uint64(c.cfg.Line), sectorID)]
+	_, ok := c.pending.find(pendKey(addr>>c.lineShift, sectorID))
 	return ok
 }
 
 // Contains reports whether addr's line is valid in the cache (test hook).
 func (c *Cache) Contains(addr uint64, sectorID int) bool {
-	st, tag := c.locate(addr, sectorID)
-	return st.find(tag) != nil
+	set, tag := c.locate(addr, sectorID)
+	return c.find(set, tag) >= 0
 }
 
 // Flush invalidates all lines, emitting writebacks for dirty ones, and
 // returns the number of writeback transactions.
 func (c *Cache) Flush() uint64 {
 	var wb uint64
-	for si := range c.sectors {
-		for ssi := range c.sectors[si].sets {
-			st := &c.sectors[si].sets[ssi]
-			for wi := range st.ways {
-				ln := &st.ways[wi]
-				if ln.valid && ln.dirty {
-					wb++
-					c.stats.Writebacks++
-				}
-				ln.valid = false
-				ln.dirty = false
-			}
+	for w, t := range c.tags {
+		if t != 0 && c.dirty[w] {
+			wb++
+			c.stats.Writebacks++
 		}
+		c.tags[w] = 0
+		c.dirty[w] = false
 	}
 	return wb
 }
 
-func (c *Cache) insert(st *set, tag uint64, dirty bool) *line {
-	v := st.victim()
-	if v.valid {
+// insert installs tag in set over its victim and returns the way.
+func (c *Cache) insert(set int, tag uint64, dirty bool) int {
+	w := c.victim(set)
+	if c.tags[w] != 0 {
 		c.stats.Evictions++
-		if v.dirty {
+		if c.dirty[w] {
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
-	return v
+	c.tags[w], c.dirty[w], c.lru[w] = tagWord(tag), dirty, c.clock
+	return w
 }

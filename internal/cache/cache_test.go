@@ -196,7 +196,9 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		{Size: 0, Line: 32, Assoc: 1},
 		{Size: 64, Line: 0, Assoc: 1},
 		{Size: 64, Line: 32, Assoc: 0},
-		{Size: 32, Line: 128, Assoc: 4}, // too small for one set
+		{Size: 32, Line: 128, Assoc: 4},    // too small for one set
+		{Size: 96 * 4, Line: 96, Assoc: 1}, // line not a power of two
+		{Size: 64, Line: 2, Assoc: 1},      // line below 4 bytes
 	}
 	for _, cfg := range bad {
 		func() {

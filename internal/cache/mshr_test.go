@@ -138,7 +138,7 @@ func TestReadFillMatchesReadThenFill(t *testing.T) {
 	if a.Stats() != b.Stats() {
 		t.Fatalf("stats %+v, Read+Fill %+v", b.Stats(), a.Stats())
 	}
-	if len(b.pending) != 0 {
-		t.Fatalf("ReadFill left %d MSHR entries", len(b.pending))
+	if b.pending.n != 0 {
+		t.Fatalf("ReadFill left %d MSHR entries", b.pending.n)
 	}
 }

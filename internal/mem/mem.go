@@ -13,16 +13,18 @@
 // dies (homeDie); a slice miss whose home stack is another die crosses
 // the interposer — it occupies the source die's egress link for
 // InterposerInterval cycles and completes RemoteHopLatency later
-// (DESIGN.md §13). The monolithic path (Chiplets <= 1) is untouched
-// code, byte-identical to the pre-chiplet engine; internal/engine's
-// equivalence matrix pins that.
+// (DESIGN.md §13). The monolithic path (Chiplets <= 1) takes none of
+// the chiplet branches and is byte-identical to the pre-chiplet engine;
+// internal/engine's equivalence matrix pins that.
 package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/cache"
+	"ctacluster/internal/fastmod"
 )
 
 // Stats aggregates memory-system counters. The two chiplet counters
@@ -110,12 +112,21 @@ type System struct {
 	stats    Stats
 	obs      TxnObserver // nil unless a profiler is attached
 
+	// Per-access indexing, precomputed so no transaction divides: the
+	// L2 line shift, and the bank and channel counts a line index is
+	// reduced by (per die on a chiplet descriptor).
+	lineShift uint
+	bankMod   fastmod.Divisor
+	chanMod   fastmod.Divisor
+
 	// Chiplet state (arXiv 2606.11716 regime); unused when dies <= 1.
-	dies        int            // ar.Chiplets, cached
-	banksPerDie int            // bankFree is die-major: dies*banksPerDie entries
-	chansPerDie int            // dramFree is die-major: dies*chansPerDie entries
-	slices      []*cache.Cache // per-die L2 slices caching their own SMs' requests
-	linkFree    []int64        // next cycle each die's interposer egress link is free
+	dies        int             // ar.Chiplets, cached
+	dieMod      fastmod.Divisor // dies
+	smDie       []int           // ar.DieOf of every SM
+	banksPerDie int             // bankFree is die-major: dies*banksPerDie entries
+	chansPerDie int             // dramFree is die-major: dies*chansPerDie entries
+	slices      []*cache.Cache  // per-die L2 slices caching their own SMs' requests
+	linkFree    []int64         // next cycle each die's interposer egress link is free
 }
 
 // port tracks how many transactions an SM has injected in a cycle so the
@@ -157,6 +168,12 @@ func New(ar *arch.Arch) *System {
 		s.bankFree = make([]int64, s.dies*s.banksPerDie)
 		s.dramFree = make([]int64, s.dies*s.chansPerDie)
 		s.linkFree = make([]int64, s.dies)
+		s.dieMod = fastmod.New(uint64(s.dies))
+		s.smDie = make([]int, ar.SMs)
+		for sm := range s.smDie {
+			s.smDie[sm] = ar.DieOf(sm)
+		}
+		s.index(s.banksPerDie, s.chansPerDie)
 		return s
 	}
 	s.l2 = cache.New(cache.Config{
@@ -167,7 +184,16 @@ func New(ar *arch.Arch) *System {
 	})
 	s.bankFree = make([]int64, ar.L2Banks)
 	s.dramFree = make([]int64, channels)
+	s.index(ar.L2Banks, channels)
 	return s
+}
+
+// index precomputes the per-access indexing. The L2 caches were built
+// first, and cache.New rejects a line that is not a power of two.
+func (s *System) index(banks, chans int) {
+	s.lineShift = uint(bits.TrailingZeros(uint(s.ar.L2Line)))
+	s.bankMod = fastmod.New(uint64(banks))
+	s.chanMod = fastmod.New(uint64(chans))
 }
 
 // SetObserver attaches fn to every subsequent L2 transaction (nil
@@ -214,7 +240,15 @@ const DieHomePage = 4096
 // interleaved across the dies' stacks round-robin, so a slice miss
 // fills from die homeDie's stack — locally, or over the interposer.
 func (s *System) homeDie(addr uint64) int {
-	return int(addr/DieHomePage) % s.dies
+	return int(s.dieMod.Mod(addr / DieHomePage))
+}
+
+// dieOf is ar.DieOf(smID) from a table built in New.
+func (s *System) dieOf(smID int) int {
+	if uint(smID) < uint(len(s.smDie)) {
+		return s.smDie[smID]
+	}
+	return s.ar.DieOf(smID) // not an SM of this GPU; never on a real run
 }
 
 // bankFor maps a transaction to its L2 bank: the monolithic
@@ -222,11 +256,22 @@ func (s *System) homeDie(addr uint64) int {
 // bank within the *requesting* SM's die group, because each die's
 // slice caches its own SMs' requests.
 func (s *System) bankFor(smID int, addr uint64) int {
-	idx := addr / uint64(s.ar.L2Line)
+	b := int(s.bankMod.Mod(addr >> s.lineShift))
 	if s.dies > 1 {
-		return s.ar.DieOf(smID)*s.banksPerDie + int(idx)%s.banksPerDie
+		return s.dieOf(smID)*s.banksPerDie + b
 	}
-	return int(idx) % len(s.bankFree)
+	return b
+}
+
+// chanFor maps a transaction to its DRAM channel: the monolithic
+// line-interleave, or on a chiplet descriptor a line-interleaved
+// channel within the home die's group.
+func (s *System) chanFor(addr uint64) int {
+	ch := int(s.chanMod.Mod(addr >> s.lineShift))
+	if s.dies > 1 {
+		ch += s.homeDie(addr) * s.chansPerDie
+	}
+	return ch
 }
 
 // dramAt reserves a DRAM channel slot for the 32B transfer of addr that
@@ -236,13 +281,7 @@ func (s *System) bankFor(smID int, addr uint64) int {
 // slice miss fills from the HBM stack the page lives on, wherever the
 // requester sits.
 func (s *System) dramAt(svc int64, addr uint64) int64 {
-	var ch int
-	if s.dies > 1 {
-		idx := addr / uint64(s.ar.L2Line)
-		ch = s.homeDie(addr)*s.chansPerDie + int(idx)%s.chansPerDie
-	} else {
-		ch = int(addr/uint64(s.ar.L2Line)) % len(s.dramFree)
-	}
+	ch := s.chanFor(addr)
 	start := svc
 	if s.dramFree[ch] > start {
 		start = s.dramFree[ch]
@@ -302,7 +341,7 @@ func (s *System) route(now int64, smID int, addr uint64) (svc int64, c *cache.Ca
 	if s.dies <= 1 {
 		return svc, s.l2
 	}
-	return svc, s.slices[s.ar.DieOf(smID)]
+	return svc, s.slices[s.dieOf(smID)]
 }
 
 // fillFrom resolves where a slice miss at svc fills from: the die's own
@@ -316,7 +355,7 @@ func (s *System) fillFrom(svc int64, smID int, addr uint64) (start int64, remote
 	if s.dies <= 1 {
 		return svc, false
 	}
-	src := s.ar.DieOf(smID)
+	src := s.dieOf(smID)
 	if s.homeDie(addr) == src {
 		return svc, false
 	}
@@ -343,7 +382,7 @@ func (s *System) Read(now int64, smID int, base uint64, nbytes int) int64 {
 	done := now
 	line := uint64(s.ar.L2Line)
 	end := base + uint64(nbytes)
-	for addr := base / line * line; addr < end; addr += line {
+	for addr := base &^ (line - 1); addr < end; addr += line {
 		s.stats.ReadTransactions++
 		svc, c := s.route(now, smID, addr)
 		var t int64
@@ -377,7 +416,7 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 	done := now
 	line := uint64(s.ar.L2Line)
 	end := base + uint64(nbytes)
-	for addr := base / line * line; addr < end; addr += line {
+	for addr := base &^ (line - 1); addr < end; addr += line {
 		s.stats.WriteTransactions++
 		svc, c := s.route(now, smID, addr)
 		hit, remote := true, false

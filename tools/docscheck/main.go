@@ -25,8 +25,8 @@
 // on the line is then required to be registered by the command (flags
 // are discovered by parsing the command's source for flag.String /
 // flag.Bool / ... / flag.*Var calls). Flags registered through the
-// shared internal/cli helpers (cli.RegisterSweepFlags and friends) are
-// resolved transitively: docscheck parses internal/cli, computes each
+// shared internal/cli helpers (cli.RegisterParallelFlag and friends)
+// are resolved transitively: docscheck parses internal/cli, computes each
 // helper's registered-flag set (including helpers calling helpers), and
 // credits those flags to any command that calls the helper — so moving
 // a registration into internal/cli cannot silently exempt it from the
